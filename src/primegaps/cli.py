@@ -30,6 +30,7 @@ from .gaps import (
     gap_histogram,
     interval_count_distribution,
     long_gap_construct,
+    poisson_unit_pmf,
 )
 from .gpy import (
     InequalityCheck,
@@ -44,7 +45,7 @@ from .gpy import (
     unfortunate_inequality,
 )
 from .progressions import bv_scan, error_table, euler_phi, montgomery_ratio
-from .sieve import prime_count
+from .sieve import primes_upto
 from .tuples import OffsetTuple, gallagher_average, hl_count, is_admissible, singular_series
 
 DEFAULT_SEED = 0
@@ -177,20 +178,11 @@ def _cmd_gaps(args):
     _guard(args.force, args.x_hi <= MAX_SIEVE_SPAN, f"x_hi {args.x_hi} beyond sieve budget")
     hist = gap_histogram(args.x_lo, args.x_hi)
     columns, rows = _histogram_rows(hist)
-    # worst gap/(log p)^2 in range, reported beside the reference constants
-    import numpy as np
-
-    from .sieve import next_prime, primes_between
-
-    primes = primes_between(args.x_lo, args.x_hi)
-    seq = np.append(primes, next_prime(int(primes[-1])))
-    stat = np.diff(seq) / np.log(seq[:-1].astype(float)) ** 2
-    i = int(stat.argmax())
-    worst, worst_p = float(stat[i]), int(seq[i])
     meta = _meta(args, x_lo=args.x_lo, x_hi=args.x_hi)
     meta["total_gaps"] = hist.total
-    meta["max_gap_over_log_sq"] = worst
-    meta["max_gap_at_p"] = worst_p
+    # worst gap/(log p)^2 in range, reported beside the reference constants
+    meta["max_gap_over_log_sq"] = hist.max_gap_over_log_sq
+    meta["max_gap_at_p"] = hist.max_gap_at_p
     meta["cramer_limsup_constant"] = CRAMER_LIMSUP_CONSTANT
     meta["corrected_limsup_constant"] = CORRECTED_LIMSUP_CONSTANT
     return columns, rows, meta
@@ -201,7 +193,7 @@ def _cmd_intervals(args):
     _guard(args.force, args.n_samples <= MAX_SAMPLES, "n_samples beyond budget")
     stats = interval_count_distribution(args.x, args.n_samples, args.seed)
     rows = [
-        {"k": k, "empirical_fraction": frac, "poisson_prediction": stats.poisson(k)}
+        {"k": k, "empirical_fraction": frac, "poisson_prediction": poisson_unit_pmf(k)}
         for k, frac in sorted(stats.fractions.items())
     ]
     meta = _meta(args, x=args.x, n_samples=args.n_samples)
@@ -377,6 +369,7 @@ def _cmd_inequality_scan(args):
 
 def _cmd_ap_table(args):
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
+    _guard(args.force, args.q <= MAX_BV_MODULI, "q beyond budget")
     table = error_table(args.x, args.q)
     rows = [
         {
@@ -391,7 +384,7 @@ def _cmd_ap_table(args):
     meta = _meta(args, x=args.x, q=args.q)
     meta["max_abs_error"] = table.max_abs_error
     meta["phi_q"] = euler_phi(args.q)
-    meta["pi_x"] = prime_count(args.x)
+    meta["pi_x"] = len(primes_upto(args.x))
     meta["residual_classes_note"] = (
         "classes a with gcd(a,q)>1 hold at most the one prime dividing q"
     )
@@ -431,7 +424,8 @@ def _cmd_bv_scan(args):
 def _cmd_montgomery(args):
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     q_hi = args.q_max if args.q_max is not None else args.q_min
-    _guard(args.force, q_hi - args.q_min + 1 <= MAX_BV_MODULI, "modulus range beyond budget")
+    # bounds the moduli count too, since every modulus is at least 1
+    _guard(args.force, q_hi <= MAX_BV_MODULI, "q_max beyond budget")
     rows = []
     best_q, best_ratio = None, -1.0
     for q in range(args.q_min, q_hi + 1):

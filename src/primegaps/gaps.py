@@ -50,7 +50,9 @@ class GapHistogram:
 
     counts[i] covers [bin_edges[i], bin_edges[i+1]) and counts[-1] is the
     overflow bin for gaps at or beyond the last edge, so the bins partition
-    [0, inf) and the counts sum to total.
+    [0, inf) and the counts sum to total.  max_gap_over_log_sq is the largest
+    gap/(log p)^2 and max_gap_at_p the first p attaining it (NaN and None
+    when there are no gaps).
     """
 
     bin_edges: np.ndarray
@@ -58,6 +60,8 @@ class GapHistogram:
     total: int
     x_lo: int
     x_hi: int
+    max_gap_over_log_sq: float = math.nan
+    max_gap_at_p: int | None = None
 
     @property
     def fractions(self) -> np.ndarray:
@@ -81,13 +85,25 @@ def _validate_edges(bin_edges) -> np.ndarray:
     return edges
 
 
-def _histogram_from_normalized(
-    normalized: np.ndarray, edges: np.ndarray, x_lo: int, x_hi: int
+def _histogram_of_sequence(
+    seq: np.ndarray, edges: np.ndarray, x_lo: int, x_hi: int
 ) -> GapHistogram:
+    """Histogram the gaps of the ascending seq, each normalized by log p."""
+    gaps = np.diff(seq)
+    log_p = np.log(seq[:-1].astype(np.float64))
+    # gap / (log p)^2 and then gap / log p share one buffer, and gaps and
+    # log_p are freed before binning, so the max-gap statistic adds no
+    # gap-sized array to the peak memory
+    stat = np.square(log_p)
+    np.divide(gaps, stat, out=stat)
+    i = int(stat.argmax())
+    worst, worst_p = float(stat[i]), int(seq[i])
+    normalized = np.divide(gaps, log_p, out=stat)
+    del gaps, log_p
     idx = np.searchsorted(edges, normalized, side="right") - 1
     idx = np.minimum(idx, len(edges) - 1)
     counts = np.bincount(idx, minlength=len(edges))
-    return GapHistogram(edges, counts, int(len(normalized)), x_lo, x_hi)
+    return GapHistogram(edges, counts, int(len(normalized)), x_lo, x_hi, worst, worst_p)
 
 
 def gap_histogram(x_lo: int, x_hi: int, bin_edges=None) -> GapHistogram:
@@ -104,15 +120,11 @@ def gap_histogram(x_lo: int, x_hi: int, bin_edges=None) -> GapHistogram:
     if len(primes) == 0:
         raise EmptyRangeError(f"no primes in [{x_lo}, {x_hi})")
     seq = np.append(primes, next_prime(int(primes[-1])))
-    normalized = np.diff(seq) / np.log(seq[:-1].astype(np.float64))
-    return _histogram_from_normalized(normalized, edges, x_lo, x_hi)
+    return _histogram_of_sequence(seq, edges, x_lo, x_hi)
 
 
 # ---------------------------------------------------------------------------
 # interval counts (Poisson comparison)
-
-UNIT_POISSON = tuple(math.exp(-1.0) / math.factorial(k) for k in range(16))
-
 
 def poisson_unit_pmf(k: int) -> float:
     """e^{-1} / k!, the Poisson(1) weight."""
@@ -136,9 +148,6 @@ class IntervalCountStats:
     empirical_mean: float
     empirical_std: float
     exact_mean: float
-
-    def poisson(self, k: int) -> float:
-        return poisson_unit_pmf(k)
 
     def mean_sigma(self) -> float:
         """Standard error of the empirical mean."""
@@ -237,10 +246,6 @@ class CramerResult:
     count_sigma: float
     histogram: GapHistogram
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.flatnonzero(self.indicators)
-
 
 _CRAMER_CHUNK = 1 << 20
 
@@ -270,8 +275,7 @@ def cramer_simulate(cfg: CramerConfig, bin_edges=None) -> CramerResult:
     positions = np.flatnonzero(ind)
     edges = _validate_edges(default_bin_edges() if bin_edges is None else bin_edges)
     if len(positions) >= 2:
-        normalized = np.diff(positions) / np.log(positions[:-1].astype(np.float64))
-        hist = _histogram_from_normalized(normalized, edges, 2, n)
+        hist = _histogram_of_sequence(positions, edges, 2, n)
     else:
         hist = GapHistogram(edges, np.zeros(len(edges), dtype=np.int64), 0, 2, n)
     return CramerResult(

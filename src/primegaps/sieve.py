@@ -39,10 +39,6 @@ class SieveSegment:
     hi: int
     bits: np.ndarray
 
-    def is_prime(self, n: int) -> bool:
-        require(self.lo <= n < self.hi, f"{n} outside segment [{self.lo}, {self.hi})")
-        return bool(self.bits[n - self.lo])
-
     def primes(self) -> np.ndarray:
         """Primes in [lo, hi) as an int64 array."""
         return np.flatnonzero(self.bits).astype(np.int64) + self.lo
@@ -59,28 +55,25 @@ class PrimeGap:
 
 
 # ---------------------------------------------------------------------------
-# base primes (simple monolithic sieve, cached and grown on demand)
+# base primes (grown on demand by the segmented sieve itself)
 
-_base_bits = np.zeros(0, dtype=bool)
-
-
-def _simple_bits(limit: int) -> np.ndarray:
-    """Plain sieve: boolean array b with b[i] iff i is prime, for i < limit."""
-    bits = np.ones(limit, dtype=bool)
-    bits[: min(2, limit)] = False
-    for p in range(2, math.isqrt(max(limit - 1, 0)) + 1):
-        if bits[p]:
-            bits[p * p :: p] = False
-    return bits
+_base = np.empty(0, dtype=np.int64)  # every prime below _base_limit
+_base_limit = 0
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    """All primes < limit, from a cached monolithic sieve."""
-    global _base_bits
-    if limit > len(_base_bits):
-        grow = max(limit, 2 * len(_base_bits), 1 << 16)
-        _base_bits = _simple_bits(grow)
-    return np.flatnonzero(_base_bits[:limit]).astype(np.int64)
+    """All primes < limit, sieved by primes_between and cached.
+
+    Sieving [0, grow) needs only the primes below isqrt(grow - 1) + 1,
+    which is less than grow once grow >= 3, and primes_between returns at
+    once for grow <= 2, so the bootstrap recursion ends.
+    """
+    global _base, _base_limit
+    if limit > _base_limit:
+        grow = max(limit, 2 * _base_limit)
+        _base = primes_between(0, grow)
+        _base_limit = grow
+    return _base[: int(np.searchsorted(_base, limit))]
 
 
 @lru_cache(maxsize=8)
@@ -110,8 +103,7 @@ def sieve_range(lo: int, hi: int) -> SieveSegment:
     bits = np.ones(hi - lo, dtype=bool)
     if lo < 2:
         bits[: min(2 - lo, hi - lo)] = False
-    for p in _base_primes(math.isqrt(hi - 1) + 1):
-        p = int(p)
+    for p in _base_primes(math.isqrt(hi - 1) + 1).tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             bits[start - lo :: p] = False
@@ -241,46 +233,13 @@ def iter_gaps(x_lo: int, x_hi: int) -> Iterator[PrimeGap]:
 
 
 # ---------------------------------------------------------------------------
-# factorization via smallest-prime-factor table
-
-_spf = np.zeros(0, dtype=np.int64)
-_SPF_CAP = 1 << 24
-
-
-def _spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for [0, limit), grown on demand."""
-    global _spf
-    if limit > len(_spf):
-        size = max(limit, 2 * len(_spf), 1 << 16)
-        spf = np.zeros(size, dtype=np.int64)
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-        rest = np.flatnonzero(spf[2:] == 0) + 2
-        spf[rest] = rest
-        _spf = spf
-    return _spf
-
+# factorization by trial division over the base primes
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
     require(n >= 1, "n must be positive")
     out: list[tuple[int, int]] = []
-    if n == 1:
-        return out
-    if n < _SPF_CAP:
-        spf = _spf_table(n + 1)
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-    for p in _base_primes(math.isqrt(n) + 1):
-        p = int(p)
+    for p in _base_primes(math.isqrt(n) + 1).tolist():
         if p * p > n:
             break
         if n % p == 0:

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from primegaps.cli import build_parser, emit, main, parse_exact_int
+import primegaps
+from primegaps.cli import MAX_BV_MODULI, build_parser, emit, main, parse_exact_int
 
 ALL_SUBCOMMANDS = [
     "gaps", "intervals", "cramer", "longgap", "tuple", "hl-count", "gallagher",
@@ -120,6 +121,12 @@ def test_guardrail_refuses_oversized_without_force(capsys):
     code = main(["gaps", "--x-hi", "100000000000"])
     assert code == 2
     assert "--force" in capsys.readouterr().err
+    # one modulus past the cap is refused before any table is allocated
+    q = str(MAX_BV_MODULI + 1)
+    for argv in (["ap-table", "--x", "1000", "--q", q],
+                 ["montgomery", "--x", "200000", "--q-min", q]):
+        assert main(argv) == 2
+        assert "--force" in capsys.readouterr().err
 
 
 def test_budget_error_exits_1(capsys):
@@ -196,10 +203,13 @@ def test_emit_real_formatting():
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same copy of the package as this process
+    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "primegaps.cli", "gpy-ratio", "--k", "7", "--r", "1",
          "--theta", "0.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "0.15" in proc.stdout

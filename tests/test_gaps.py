@@ -44,7 +44,11 @@ def test_histogram_fractions_partition():
 
 def test_histogram_conservation_against_iter_gaps():
     hist = gap_histogram(3, 10**5)
-    assert hist.total == sum(1 for _ in iter_gaps(3, 10**5))
+    gaps = list(iter_gaps(3, 10**5))
+    assert hist.total == len(gaps)
+    worst = max(gaps, key=lambda g: g.gap / math.log(g.p) ** 2)
+    assert hist.max_gap_over_log_sq == worst.gap / math.log(worst.p) ** 2
+    assert hist.max_gap_at_p == worst.p
 
 
 def test_histogram_validation():

@@ -47,6 +47,10 @@ def test_prime_count_examples():
     assert prime_count(1) == 0
     assert prime_count(100) == len(trial_division_primes(0, 101)) == 25
     assert prime_count(10**6) == naive_sieve_count(10**6)
+    # published values of pi(10^k)
+    published = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
+    for k, pi in enumerate(published, start=1):
+        assert prime_count(10**k) == pi
 
 
 @given(st.integers(min_value=0, max_value=3000))
@@ -141,7 +145,11 @@ def test_pnt_ratio_report(capsys):
 
 
 def test_factorize_matches_naive():
-    for n in list(range(1, 500)) + [2**31 - 1, 600851475143, 10**12 + 39]:
+    # 2^24 +- 1 straddle the end of the old smallest-prime-factor table;
+    # the last input is a semiprime with both factors near 10^6
+    extra = [2**31 - 1, 600851475143, 10**12 + 39, 2**24 - 1, 2**24, 2**24 + 1,
+             1_000_003 * 1_000_033]
+    for n in list(range(1, 500)) + extra:
         assert factorize(n) == naive_factorize(n)
 
 

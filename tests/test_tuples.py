@@ -154,6 +154,11 @@ def test_hl_count_inadmissible():
     assert res.predicted == 0.0
 
 
+def test_hl_count_twin_published_1e8():
+    # published count of twin-prime pairs (p, p + 2) with p <= 10^8
+    assert hl_count(OffsetTuple((0, 2)), 10**8).actual == 440_312
+
+
 def test_hl_count_twin_ratio_baselines(baseline):
     H = OffsetTuple((0, 2))
     for exp in (4, 5, 6, 7):
