@@ -42,11 +42,19 @@ from .gpy import (
     gpy_ratio,
     gpy_ratio_general,
     numerator_form,
+    require_level,
     unfortunate_inequality,
 )
 from .progressions import bv_scan, error_table, euler_phi, montgomery_ratio
 from .sieve import primes_upto
-from .tuples import OffsetTuple, gallagher_average, hl_count, is_admissible, singular_series
+from .tuples import (
+    OffsetTuple,
+    default_truncation,
+    gallagher_average,
+    hl_count,
+    is_admissible,
+    singular_series,
+)
 
 DEFAULT_SEED = 0
 OUTDIR_ENV = "PRIMEGAPS_OUTDIR"
@@ -145,6 +153,11 @@ def _guard(force: bool, condition: bool, message: str) -> None:
         raise PreconditionError(message + " (pass --force to override)")
 
 
+def _guard_level(force: bool, k: int, L: int) -> None:
+    # singular_series holds a k x pi(L) residue matrix and a sorted copy
+    _guard(force, k * L <= MAX_SIEVE_SPAN, f"k*L {k * L} beyond singular-series budget")
+
+
 def _meta(args, **params) -> dict:
     return {
         "subcommand": args.cmd,
@@ -233,7 +246,9 @@ def _cmd_longgap(args):
 def _cmd_tuple(args):
     H = OffsetTuple.parse(args.offsets)
     ok, witness = is_admissible(H)
-    ss = singular_series(H, args.L)
+    L = args.L if args.L is not None else default_truncation(H)
+    _guard_level(args.force, H.k, L)
+    ss = singular_series(H, L)
     row = {
         "offsets": str(H),
         "k": H.k,
@@ -254,7 +269,9 @@ def _cmd_hl_count(args):
         args.x + H.offsets[-1] <= MAX_SIEVE_SPAN,
         f"x + h_k {args.x + H.offsets[-1]} beyond sieve budget",
     )
-    res = hl_count(H, args.x, args.L)
+    L = args.L if args.L is not None else default_truncation(H)
+    _guard_level(args.force, H.k, L)
+    res = hl_count(H, args.x, L)
     row = {
         "offsets": str(H),
         "x": args.x,
@@ -268,6 +285,7 @@ def _cmd_hl_count(args):
 def _cmd_gallagher(args):
     budget = None if args.force else SUBSET_BUDGET
     L = args.L if args.L is not None else max(100_000, args.h, 2 * args.k)
+    _guard_level(args.force, args.k, L)
     res = gallagher_average(args.k, args.h, L, budget=budget)
     row = {
         "k": args.k,
@@ -318,6 +336,7 @@ def _cmd_gpy_experiment(args):
     H = OffsetTuple.parse(args.offsets)
     _guard(args.force, 2 * args.x <= MAX_SIEVE_SPAN, "2x beyond sieve budget")
     R = args.R if args.R is not None else max(2, math.isqrt(math.isqrt(args.x)))
+    require_level(R, args.x)
     P = PolynomialSpec.power(H.k, args.r)
     w = build_weights(P, R)
     rows = []

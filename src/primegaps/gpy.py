@@ -77,22 +77,21 @@ def f_of(d: int, H: OffsetTuple) -> int:
 
     f(d) is the number of residue classes n mod d with
     d | (n+h_1)...(n+h_k)."""
-    require(d >= 1, "d must be positive")
-    out = 1
-    for p, e in factorize(d):
-        require(e == 1, f"non-squarefree modulus {d} (p={p} repeats)")
-        out *= nu(H, p)
-    return out
+    return _local_product(d, H, 0)
 
 
 def g_of(d: int, H: OffsetTuple) -> int:
     """Like f but with the class forcing a fixed n + h_j composite removed:
     g(d) = prod over p | d of (nu_H(p) - 1), squarefree d."""
+    return _local_product(d, H, 1)
+
+
+def _local_product(d: int, H: OffsetTuple, shift: int) -> int:
     require(d >= 1, "d must be positive")
     out = 1
     for p, e in factorize(d):
         require(e == 1, f"non-squarefree modulus {d} (p={p} repeats)")
-        out *= nu(H, p) - 1
+        out *= nu(H, p) - shift
     return out
 
 
@@ -193,23 +192,32 @@ def _divisor_residues(d: int, H: OffsetTuple) -> np.ndarray:
 
 
 def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> np.ndarray:
-    """S[n - x] = sum of lambda_d over d dividing (n+h_1)...(n+h_k)."""
-    n_arr = np.arange(x, 2 * x + 1, dtype=np.int64)
+    """S[n - x] = sum of lambda_d over d dividing (n+h_1)...(n+h_k).
+
+    Each n lies in one class mod d, so it receives lambda_d at most once
+    per d, in ascending d: the same float sum detector_a forms."""
     S = np.zeros(x + 1, dtype=np.float64)
     for d in w.support:
-        lam = w.lam[d]
-        if d == 1:
-            S += lam
-            continue
-        table = np.zeros(d, dtype=bool)
-        table[_divisor_residues(d, H)] = True
-        S[table[n_arr % d]] += lam
+        for r in _divisor_residues(d, H).tolist():
+            S[(r - x) % d :: d] += w.lam[d]
     return S
 
 
-def _require_level(R: int, x: int) -> None:
+def require_level(R: int, x: int) -> None:
+    """Refuse a sieve level with R^2 >= x (LevelTooLargeError)."""
     if R * R >= x:
         raise LevelTooLargeError(f"level-too-large: need R^2 < x, got R={R}, x={x}")
+
+
+def _pair_sum(w: WeightScheme, num, den) -> float:
+    """fsum of lambda_d1 lambda_d2 num(D) / den(D) over D = [d1, d2]."""
+    terms = []
+    support = w.support
+    for d1 in support:
+        for d2 in support:
+            D = d1 * d2 // math.gcd(d1, d2)
+            terms.append(w.lam[d1] * w.lam[d2] * num(D) / den(D))
+    return math.fsum(terms)
 
 
 def denominator_form(w: WeightScheme, H: OffsetTuple, x: int) -> FormEvaluation:
@@ -220,16 +228,10 @@ def denominator_form(w: WeightScheme, H: OffsetTuple, x: int) -> FormEvaluation:
     P^(k)(1-y)^2 dy.
     """
     require(x >= 4, "x too small")
-    _require_level(w.R, x)
+    require_level(w.R, x)
     S = _weight_profile(w, H, x)
-    direct = float((S * S).sum())
-    terms = []
-    support = w.support
-    for d1 in support:
-        for d2 in support:
-            D = d1 * d2 // math.gcd(d1, d2)
-            terms.append(w.lam[d1] * w.lam[d2] * f_of(D, H) / D)
-    form_value = x * math.fsum(terms)
+    direct = float(np.square(S, out=S).sum())
+    form_value = x * _pair_sum(w, lambda D: f_of(D, H), lambda D: D)
     asym = _denominator_asymptotic(w, H, x)
     return FormEvaluation(direct, form_value, asym, x, w.R, H)
 
@@ -244,19 +246,13 @@ def numerator_form(w: WeightScheme, H: OffsetTuple, j: int, x: int) -> FormEvalu
     """
     require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
     require(x >= 4, "x too small")
-    _require_level(w.R, x)
+    require_level(w.R, x)
     h_j = H.offsets[j - 1]
     S = _weight_profile(w, H, x)
     pmask = prime_indicator(x + h_j, 2 * x + h_j + 1)
     sel = S[pmask]
     direct = float((sel * sel).sum())
-    terms = []
-    support = w.support
-    for d1 in support:
-        for d2 in support:
-            D = d1 * d2 // math.gcd(d1, d2)
-            terms.append(w.lam[d1] * w.lam[d2] * g_of(D, H) / euler_phi(D))
-    form_value = x / math.log(x) * math.fsum(terms)
+    form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
     asym = _numerator_asymptotic(w, H, x)
     return FormEvaluation(direct, form_value, asym, x, w.R, H, j=j)
 
@@ -303,7 +299,7 @@ def exact_double_count(
     both sides restrict to n with n + h_j prime.
     """
     require(x >= 4, "x too small")
-    _require_level(w.R, x)
+    require_level(w.R, x)
     lamF = {d: Fraction(v) for d, v in sorted(w.lam.items())}
     ds = sorted(lamF)
     pmask = None
@@ -341,17 +337,12 @@ def exact_double_count(
     for d1 in ds:
         for d2 in ds:
             D = d1 * d2 // math.gcd(d1, d2)
-            residues = _divisor_residues(D, H)
             count = 0
-            for r in residues:
-                r = int(r)
+            for r in _divisor_residues(D, H).tolist():
                 if pmask is None:
                     count += (2 * x - r) // D - (x - 1 - r) // D
                 else:
-                    first = x + (r - x) % D
-                    for n in range(first, 2 * x + 1, D):
-                        if pmask[n - x]:
-                            count += 1
+                    count += int(pmask[(r - x) % D :: D].sum())
             pair += lamF[d1] * lamF[d2] * count
     return DoubleCount(per_n, pair)
 

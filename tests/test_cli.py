@@ -127,6 +127,23 @@ def test_guardrail_refuses_oversized_without_force(capsys):
                  ["montgomery", "--x", "200000", "--q-min", q]):
         assert main(argv) == 2
         assert "--force" in capsys.readouterr().err
+    # the singular-series level L is bounded through k*L, default or given
+    for argv in (["tuple", "--offsets", "0,1,10000000000"],
+                 ["tuple", "--offsets", "0,1", "--L", "1e10"],
+                 ["hl-count", "--offsets", "0,1", "--x", "1000", "--L", "1e10"],
+                 ["gallagher", "--k", "2", "--h", "2", "--L", "1e10"]):
+        assert main(argv) == 2
+        assert "--force" in capsys.readouterr().err
+
+
+def test_gpy_experiment_checks_level_before_building_weights(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("weights built before the level check")
+
+    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e4", "--R", "200000"]
+    assert main(argv) == 2
+    assert "level-too-large" in capsys.readouterr().err
 
 
 def test_budget_error_exits_1(capsys):

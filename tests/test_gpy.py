@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from primegaps import (
     weighted_square_integral,
 )
 from primegaps.errors import LevelTooLargeError
-from primegaps.gpy import WeightScheme, squarefree_upto
+from primegaps.gpy import WeightScheme, _weight_profile, squarefree_upto
 
 from conftest import naive_factorize
 
@@ -200,9 +201,24 @@ def test_forms_match_exact_routes_in_float():
     dc = exact_double_count(w, H, x)
     den = denominator_form(w, H, x)
     assert den.direct_sum == pytest.approx(float(dc.per_n), rel=1e-9)
-    dcn = exact_double_count(w, H, x, j=1)
-    num = numerator_form(w, H, 1, x)
-    assert num.direct_sum == pytest.approx(float(dcn.per_n), rel=1e-9)
+    for j in (1, 2):
+        dcn = exact_double_count(w, H, x, j=j)
+        assert dcn.per_n == dcn.pair
+        num = numerator_form(w, H, j, x)
+        assert num.direct_sum == pytest.approx(float(dcn.per_n), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "offsets, r, R, x",
+    [((0, 2), 0, 9, 5000), ((0, 2, 6), 1, 13, 3001), ((0, 4, 6, 10), 2, 11, 2003)],
+)
+def test_weight_profile_squares_equal_detector(offsets, r, R, x):
+    # bit for bit: P(y) = y^2, y^4, y^6; each lambda_d added once, ascending d
+    H = OffsetTuple(offsets)
+    w = build_weights(PolynomialSpec.power(H.k, r), R)
+    profile = _weight_profile(w, H, x)
+    expected = np.array([detector_a(n, H, w) for n in range(x, 2 * x + 1)])
+    assert np.array_equal(profile**2, expected)
 
 
 def test_numerator_below_denominator():
