@@ -20,7 +20,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, require
 from .gaps import (
     CORRECTED_LIMSUP_CONSTANT,
     CRAMER_LIMSUP_CONSTANT,
@@ -45,7 +45,7 @@ from .gpy import (
     require_level,
     unfortunate_inequality,
 )
-from .progressions import bv_scan, error_table, euler_phi, montgomery_ratio
+from .progressions import bv_scan, error_table, montgomery_ratio
 from .sieve import primes_upto
 from .tuples import (
     OffsetTuple,
@@ -188,7 +188,9 @@ def _histogram_rows(hist):
 # subcommand handlers: each returns (columns, rows, meta)
 
 def _cmd_gaps(args):
-    _guard(args.force, args.x_hi <= MAX_SIEVE_SPAN, f"x_hi {args.x_hi} beyond sieve budget")
+    # the window plus the base primes up to sqrt(x_hi)
+    span = args.x_hi - args.x_lo + math.isqrt(max(args.x_hi, 0))
+    _guard(args.force, span <= MAX_SIEVE_SPAN, f"sieved span {span} beyond sieve budget")
     hist = gap_histogram(args.x_lo, args.x_hi)
     columns, rows = _histogram_rows(hist)
     meta = _meta(args, x_lo=args.x_lo, x_hi=args.x_hi)
@@ -402,7 +404,7 @@ def _cmd_ap_table(args):
     ]
     meta = _meta(args, x=args.x, q=args.q)
     meta["max_abs_error"] = table.max_abs_error
-    meta["phi_q"] = euler_phi(args.q)
+    meta["phi_q"] = len(table.records)
     meta["pi_x"] = len(primes_upto(args.x))
     meta["residual_classes_note"] = (
         "classes a with gcd(a,q)>1 hold at most the one prime dividing q"
@@ -443,18 +445,17 @@ def _cmd_bv_scan(args):
 def _cmd_montgomery(args):
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     q_hi = args.q_max if args.q_max is not None else args.q_min
+    require(args.q_min <= q_hi, f"empty modulus range: q_min {args.q_min} > q_max {q_hi}")
     # bounds the moduli count too, since every modulus is at least 1
     _guard(args.force, q_hi <= MAX_BV_MODULI, "q_max beyond budget")
-    rows = []
-    best_q, best_ratio = None, -1.0
-    for q in range(args.q_min, q_hi + 1):
-        ratio = montgomery_ratio(args.x, q, args.eps)
-        rows.append({"q": q, "ratio": ratio})
-        if ratio > best_ratio:
-            best_q, best_ratio = q, ratio
+    rows = [
+        {"q": q, "ratio": montgomery_ratio(args.x, q, args.eps)}
+        for q in range(args.q_min, q_hi + 1)
+    ]
+    best = max(rows, key=lambda row: row["ratio"])
     meta = _meta(args, x=args.x, q_min=args.q_min, q_max=q_hi, eps=args.eps)
-    meta["max_ratio"] = best_ratio
-    meta["argmax_q"] = best_q
+    meta["max_ratio"] = best["ratio"]
+    meta["argmax_q"] = best["q"]
     return ["q", "ratio"], rows, meta
 
 

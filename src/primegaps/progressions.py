@@ -54,6 +54,11 @@ def euler_phi(q: int) -> int:
     return out
 
 
+def _reduced_residues(q: int) -> np.ndarray:
+    """The classes a in [0, q) with gcd(a, q) = 1, ascending; there are phi(q)."""
+    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+
+
 def pi_ap(x: int, q: int, a: int) -> int:
     """Exact count of primes p <= x with p = a (mod q).
 
@@ -62,11 +67,7 @@ def pi_ap(x: int, q: int, a: int) -> int:
     """
     require(x >= 0, "x must be nonnegative")
     require(q >= 1, "q must be positive")
-    a = a % q
-    primes = primes_upto(x)
-    if q == 1:
-        return int(len(primes))
-    return int((primes % q == a).sum())
+    return int((primes_upto(x) % q == a % q).sum())
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,13 @@ def error_table(x: int, q: int) -> ErrorTable:
     E(x; q) is the maximum |error| over residues a coprime to q."""
     require(x >= 2, "x must be at least 2")
     require(q >= 1, "q must be positive")
-    primes = primes_upto(x)
-    counts = np.bincount(primes % q, minlength=q) if q > 1 else np.array([len(primes)])
-    expected = log_integral(x) / euler_phi(q)
-    records = []
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            continue
-        c = int(counts[a])
-        records.append(APErrorRecord(q, a, c, expected, c - expected))
+    reduced = _reduced_residues(q)
+    counts = np.bincount(primes_upto(x) % q, minlength=q)[reduced]
+    expected = log_integral(x) / len(reduced)
+    records = [
+        APErrorRecord(q, a, c, expected, c - expected)
+        for a, c in zip(reduced.tolist(), counts.tolist())
+    ]
     max_err = max(abs(rec.error) for rec in records)
     return ErrorTable(records, max_err)
 
@@ -140,35 +139,30 @@ def bv_checkpoints(x: int, n_checkpoints: int) -> np.ndarray:
 def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
     """Per-modulus maxima of |E(y; q)| on a checkpoint grid, summed.
 
-    One sieve pass provides all prime counts; per modulus the residue
-    histogram is accumulated checkpoint by checkpoint.  Deterministic:
-    identical parameters give bit-identical results.
+    One sieve pass provides all primes; per modulus the primes between
+    consecutive checkpoints are bincounted by class and accumulated.
+    Deterministic: identical parameters give bit-identical results.
     """
     require(x >= 100, "x must be at least 100")
     require(1 <= Q_max <= x, "need 1 <= Q_max <= x")
     require(n_checkpoints >= 1, "need at least one checkpoint")
     cps = bv_checkpoints(x, n_checkpoints)
+    require(cps[0] >= 2, f"{n_checkpoints} checkpoints reach below 2: use fewer or a larger x")
     primes = primes_upto(x)
-    bucket = np.searchsorted(cps, primes, side="left").astype(np.int64)
+    ends = np.searchsorted(primes, cps, side="right")
     li_vals = np.array([log_integral(float(y)) for y in cps])
-    nb = n_checkpoints
     per_q: dict[int, float] = {}
     argmax: dict[int, float] = {}
     totals = []
     for q in range(1, Q_max + 1):
-        phi = euler_phi(q)
-        coprime = np.array([a for a in range(q) if math.gcd(a, q) == 1])
-        if q == 1:
-            cum = np.searchsorted(primes, cps, side="right").astype(np.int64)
-            errs = np.abs(cum[None, :] - li_vals[None, :] / phi)
-        else:
-            combined = (primes % q) * nb + bucket
-            M = np.bincount(combined, minlength=q * nb).reshape(q, nb)
-            C = M.cumsum(axis=1)
-            errs = np.abs(C[coprime, :] - li_vals[None, :] / phi)
-        col_max = errs.max(axis=0)
-        j_best = int(col_max.argmax())
-        per_q[q] = float(col_max[j_best])
+        reduced = _reduced_residues(q)
+        r = primes % q
+        # row j: counts per class of the primes up to checkpoint j
+        C = np.cumsum([np.bincount(s, minlength=q) for s in np.split(r, ends[:-1])], axis=0)
+        errs = np.abs(C[:, reduced] - li_vals[:, None] / len(reduced))
+        row_max = errs.max(axis=1)
+        j_best = int(row_max.argmax())
+        per_q[q] = float(row_max[j_best])
         argmax[q] = float(cps[j_best])
         totals.append(per_q[q])
     total = math.fsum(totals)

@@ -16,14 +16,11 @@ import numpy as np
 
 from .errors import RangeTooLargeError, require
 
-# Default span of one segment; callers streaming a long range get chunks of
-# this size.  A single sieve_range call accepts spans up to MAX_RANGE.
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# A single sieve_range call accepts spans up to MAX_RANGE; iter_segments
+# streams longer ranges in segments of SEGMENT_SIZE, large enough that the
+# per-segment base-prime setup cost stays negligible.
 MAX_RANGE = 1 << 26
-
-# Internal batch size used when iterating long ranges; larger than the
-# public default so base-prime setup cost stays negligible.
-_BATCH = 1 << 24
+SEGMENT_SIZE = 1 << 24
 
 _U64_MAX = (1 << 64) - 1
 
@@ -110,15 +107,12 @@ def sieve_range(lo: int, hi: int) -> SieveSegment:
     return SieveSegment(lo, hi, bits)
 
 
-def iter_segments(
-    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> Iterator[SieveSegment]:
-    """Cover [lo, hi) with consecutive segments of at most segment_size."""
+def iter_segments(lo: int, hi: int) -> Iterator[SieveSegment]:
+    """Cover [lo, hi) with consecutive segments of at most SEGMENT_SIZE."""
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
-    require(1 <= segment_size <= MAX_RANGE, "segment_size out of range")
     cur = lo
     while cur < hi:
-        nxt = min(cur + segment_size, hi)
+        nxt = min(cur + SEGMENT_SIZE, hi)
         yield sieve_range(cur, nxt)
         cur = nxt
 
@@ -127,7 +121,7 @@ def prime_indicator(lo: int, hi: int) -> np.ndarray:
     """Boolean array of length hi - lo; entry i marks lo + i prime."""
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
     out = np.empty(hi - lo, dtype=bool)
-    for seg in iter_segments(lo, hi, _BATCH):
+    for seg in iter_segments(lo, hi):
         out[seg.lo - lo : seg.hi - lo] = seg.bits
     return out
 
@@ -136,13 +130,13 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi) as an int64 array."""
     if hi <= max(lo, 2):
         return np.empty(0, dtype=np.int64)
-    parts = [seg.primes() for seg in iter_segments(max(lo, 0), hi, _BATCH)]
+    parts = [seg.primes() for seg in iter_segments(max(lo, 0), hi)]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield primes in [lo, hi) in increasing order."""
-    for seg in iter_segments(max(lo, 0), hi, _BATCH):
+    for seg in iter_segments(max(lo, 0), hi):
         for p in seg.primes():
             yield int(p)
 
@@ -152,7 +146,7 @@ def prime_count(x: int) -> int:
     require(x >= 0, "x must be nonnegative")
     if x < 2:
         return 0
-    return sum(int(seg.bits.sum()) for seg in iter_segments(0, x + 1, _BATCH))
+    return sum(int(seg.bits.sum()) for seg in iter_segments(0, x + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def iter_gaps(x_lo: int, x_hi: int) -> Iterator[PrimeGap]:
     if x_hi <= x_lo:
         return
     prev: int | None = None
-    for seg in iter_segments(x_lo, x_hi, _BATCH):
+    for seg in iter_segments(x_lo, x_hi):
         for p in seg.primes():
             p = int(p)
             if prev is not None:

@@ -180,9 +180,10 @@ def gallagher_average(
     """Average of S over all k-subsets of [1, h] against their plain count.
 
     lhs sums singular-series values (inadmissible subsets contribute 0),
-    rhs is binomial(h, k); the ratio tends to 1 as h grows.  Subsets are
-    enumerated lexicographically; values are memoized on the translated
-    tuple h - h_1 since nu, hence S, is translation invariant.
+    rhs is binomial(h, k); the ratio tends to 1 as h grows.  S is
+    translation invariant, so each translate (0, t_1, ..., t_{k-1}) is
+    evaluated once and weighted by its h - t_{k-1} placements in [1, h]
+    (h placements when k = 1).
     """
     require(k >= 1, "k must be at least 1")
     require(h >= k, "h must be at least k")
@@ -194,13 +195,8 @@ def gallagher_average(
         raise BudgetExceededError(
             f"binomial({h}, {k}) = {rhs} exceeds the {budget} subset budget"
         )
-    counts: dict[tuple[int, ...], int] = {}
-    for combo in itertools.combinations(range(1, h + 1), k):
-        base = combo[0]
-        key = tuple(c - base for c in combo)
-        counts[key] = counts.get(key, 0) + 1
+    translates = ((0, *rest) for rest in itertools.combinations(range(1, h), k - 1))
     lhs = math.fsum(
-        mult * singular_series(OffsetTuple(key), L).value
-        for key, mult in sorted(counts.items())
+        (h - t[-1]) * singular_series(OffsetTuple(t), L).value for t in translates
     )
     return GallagherAverage(lhs, rhs, lhs / rhs)

@@ -115,11 +115,25 @@ def test_precondition_failure_exits_2_without_partial_output(tmp_path, capsys):
     assert code == 2
     assert not out_file.exists()
     assert "L-too-small" in capsys.readouterr().err
+    # an empty modulus range, and checkpoint grids reaching below li's domain
+    for argv, message in (
+        (["montgomery", "--x", "1000", "--q-min", "10", "--q-max", "5"], "empty modulus range"),
+        (["bv-scan", "--x", "100", "--q-max", "5"], "64 checkpoints"),
+        (["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "200"], "200 checkpoints"),
+    ):
+        assert main([*argv, "--out", str(out_file)]) == 2
+        assert not out_file.exists()
+        assert message in capsys.readouterr().err
 
 
 def test_guardrail_refuses_oversized_without_force(capsys):
     code = main(["gaps", "--x-hi", "100000000000"])
     assert code == 2
+    assert "--force" in capsys.readouterr().err
+    # the gaps budget bounds the window plus the base primes, not x_hi
+    assert main(["gaps", "--x-lo", "1e12", "--x-hi", "1000000100000"]) == 0
+    capsys.readouterr()
+    assert main(["gaps", "--x-lo", "4e18", "--x-hi", "4000000000000000100"]) == 2
     assert "--force" in capsys.readouterr().err
     # one modulus past the cap is refused before any table is allocated
     q = str(MAX_BV_MODULI + 1)

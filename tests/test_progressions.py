@@ -173,19 +173,21 @@ def test_bv_scan_deterministic():
 
 
 def test_bv_scan_counts_cross_check():
+    # every modulus, q = 1 included, against direct per-checkpoint counts
     res = bv_scan(10**4, 12, 8)
-    # spot-check one modulus against direct per-checkpoint evaluation
-    q = 7
-    direct = 0.0
-    for y in res.checkpoints:
-        li_y = log_integral(y)
-        err = max(
-            abs(pi_ap(int(y), q, a) - li_y / euler_phi(q))
-            for a in range(q)
-            if math.gcd(a, q) == 1
-        )
-        direct = max(direct, err)
-    assert res.per_q[q] == pytest.approx(direct)
+    for q in range(1, 13):
+        best, best_y = -1.0, None
+        for y in res.checkpoints:
+            li_y = log_integral(y)
+            err = max(
+                abs(pi_ap(int(y), q, a) - li_y / euler_phi(q))
+                for a in range(q)
+                if math.gcd(a, q) == 1
+            )
+            if err > best:
+                best, best_y = err, y
+        assert res.per_q[q] == best, q
+        assert res.argmax_y[q] == best_y, q
 
 
 def test_bv_scan_baseline(baseline):

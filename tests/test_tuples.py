@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -172,6 +173,17 @@ def test_hl_count_twin_ratio_baselines(baseline):
 def test_gallagher_k1_exact():
     res = gallagher_average(1, 50, 1000)
     assert res.lhs == 50.0 and res.rhs == 50 and res.ratio == 1.0
+
+
+@pytest.mark.parametrize("k, h", [(1, 10), (2, 30), (3, 20), (4, 14)])
+def test_gallagher_lhs_matches_subset_enumeration(k, h):
+    # one singular-series term per k-subset of [1, h], with no grouping
+    L = 200
+    direct = math.fsum(
+        singular_series(OffsetTuple(tuple(c - s[0] for c in s)), L).value
+        for s in itertools.combinations(range(1, h + 1), k)
+    )
+    assert gallagher_average(k, h, L).lhs == direct
 
 
 def test_gallagher_k2_trend(baseline):
