@@ -45,7 +45,7 @@ from .gpy import (
     require_level,
     unfortunate_inequality,
 )
-from .progressions import bv_scan, error_table, montgomery_ratio
+from .progressions import bv_checkpoints, bv_scan, error_table, montgomery_ratio
 from .sieve import primes_upto
 from .tuples import (
     OffsetTuple,
@@ -369,6 +369,8 @@ def _cmd_gpy_experiment(args):
 
 
 def _cmd_inequality_scan(args):
+    require(args.k_min <= args.k_max and args.m_max >= 1,
+            f"empty scan: k {args.k_min}..{args.k_max}, m 1..{args.m_max}")
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         for m in range(1, args.m_max + 1):
@@ -415,6 +417,10 @@ def _cmd_ap_table(args):
 def _cmd_bv_scan(args):
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     _guard(args.force, args.q_max <= MAX_BV_MODULI, "q_max beyond budget")
+    if args.sensitivity and args.checkpoints >= 1:  # bv_scan refuses fewer
+        require(bv_checkpoints(args.x, 2 * args.checkpoints)[0] >= 2,
+                f"--sensitivity doubles the grid to {2 * args.checkpoints} checkpoints, "
+                "which reach below 2: use fewer or a larger x")
     res = bv_scan(args.x, args.q_max, args.checkpoints)
     rows = [
         {

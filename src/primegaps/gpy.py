@@ -129,19 +129,13 @@ def build_weights(P: PolynomialSpec, R: int) -> WeightScheme:
     lam: dict[int, float] = {1: 1.0}
     if R >= 2:
         log_r = math.log(R)
+        poly = P.poly
         for d in squarefree_upto(R):
             if d == 1:
                 continue
             y = math.log(R / d) / log_r
-            lam[d] = mobius(d) * _eval_float(P, y)
+            lam[d] = mobius(d) * poly(y)
     return WeightScheme(R=R, lam=lam, P=P)
-
-
-def _eval_float(P: PolynomialSpec, y: float) -> float:
-    acc = 0.0
-    for c in reversed(P.coeffs):
-        acc = acc * y + float(c)
-    return acc
 
 
 def detector_a(n: int, H: OffsetTuple, w: WeightScheme) -> float:
@@ -232,7 +226,7 @@ def denominator_form(w: WeightScheme, H: OffsetTuple, x: int) -> FormEvaluation:
     S = _weight_profile(w, H, x)
     direct = float(np.square(S, out=S).sum())
     form_value = x * _pair_sum(w, lambda D: f_of(D, H), lambda D: D)
-    asym = _denominator_asymptotic(w, H, x)
+    asym = _asymptotic(w, H, x, 0)
     return FormEvaluation(direct, form_value, asym, x, w.R, H)
 
 
@@ -253,26 +247,21 @@ def numerator_form(w: WeightScheme, H: OffsetTuple, j: int, x: int) -> FormEvalu
     sel = S[pmask]
     direct = float((sel * sel).sum())
     form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
-    asym = _numerator_asymptotic(w, H, x)
+    asym = _asymptotic(w, H, x, 1)
     return FormEvaluation(direct, form_value, asym, x, w.R, H, j=j)
 
 
-def _denominator_asymptotic(w: WeightScheme, H: OffsetTuple, x: int) -> float:
-    if w.P is None or w.R < 2:
+def _asymptotic(w: WeightScheme, H: OffsetTuple, x: int, s: int) -> float:
+    """Beta-integral main term of the denominator (s = 0) or numerator
+    (s = 1) form, x/((log x)^s (log R)^m) * S(H) * integral_0^1
+    y^(m-1)/(m-1)! P^(m)(1-y)^2 dy with m = k - s."""
+    if w.P is None or w.R < 2 or w.P.k <= s:
         return math.nan
-    k = w.P.k
-    integral = weighted_square_integral(w.P.poly.deriv(k), k - 1)
+    m = w.P.k - s
+    integral = weighted_square_integral(w.P.poly.deriv(m), m - 1)
     ss = singular_series(H).value
-    return x / math.log(w.R) ** k * ss * float(integral)
-
-
-def _numerator_asymptotic(w: WeightScheme, H: OffsetTuple, x: int) -> float:
-    if w.P is None or w.R < 2 or w.P.k < 2:
-        return math.nan
-    k = w.P.k
-    integral = weighted_square_integral(w.P.poly.deriv(k - 1), k - 2)
-    ss = singular_series(H).value
-    return x / (math.log(x) * math.log(w.R) ** (k - 1)) * ss * float(integral)
+    log_x_s = math.log(x) if s else 1.0
+    return x / (log_x_s * math.log(w.R) ** m) * ss * float(integral)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +364,15 @@ def gpy_ratio_general(P: PolynomialSpec, k: int, theta: float) -> float:
     return theta * float(num / den)
 
 
-def gpy_ratio_quadrature(P: PolynomialSpec, k: int, theta: float, order: int = 80) -> float:
+def gpy_ratio_quadrature(P: PolynomialSpec, k: int, theta: float) -> float:
     """Independent Gauss-Legendre evaluation of the same ratio.
 
-    Exists purely as a cross-check on the exact rational path; the node
-    count makes the rule exact (to rounding) for all polynomial degrees
+    Exists purely as a cross-check on the exact rational path; its fixed
+    80 nodes make the rule exact (to rounding) for all polynomial degrees
     in range here.
     """
     require(k >= 2, "k must be at least 2")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(80)
     y = 0.5 * (nodes + 1.0)
     wts = 0.5 * weights
 
@@ -396,19 +385,18 @@ def gpy_ratio_quadrature(P: PolynomialSpec, k: int, theta: float, order: int = 8
     return theta * num / den
 
 
-def best_power_r(k: int, r_max: int = 50) -> int:
-    """Integer r maximizing 2(2r+1)/((r+1)(k+2r+1)), by exact scan.
+def best_power_r(k: int) -> int:
+    """Integer r maximizing 2(2r+1)/((r+1)(k+2r+1)), ties to the smaller r.
 
-    The maximizer sits near sqrt(k)/2; ties resolve to the smaller r.
+    With t = 2r+1 the reciprocal is (t + k + 1 + k/t)/4, convex
+    with its minimum at t = sqrt(k); the integers around it compare exactly.
     """
     require(k >= 2, "k must be at least 2")
-    require(r_max >= 0, "r_max must be nonnegative")
-    best, best_val = 0, Fraction(-1)
-    for r in range(r_max + 1):
-        val = Fraction(2 * (2 * r + 1), (r + 1) * (k + 2 * r + 1))
-        if val > best_val:
-            best, best_val = r, val
-    return best
+    s = math.isqrt(k)
+    return max(
+        range(max(0, (s - 1) // 2), s // 2 + 2),
+        key=lambda r: Fraction(2 * (2 * r + 1), (r + 1) * (k + 2 * r + 1)),
+    )
 
 
 class InequalityCheck(NamedTuple):
@@ -417,7 +405,7 @@ class InequalityCheck(NamedTuple):
     holds: bool
 
 
-def unfortunate_inequality(Q, k: int) -> InequalityCheck:
+def unfortunate_inequality(Q: RationalPoly, k: int) -> InequalityCheck:
     """The strict bound capping the ratio: for Q != 0 with Q(0) = 0,
 
         int y^(k-2)/(k-2)! Q(1-y)^2 dy  <  (4/k) int y^(k-1)/(k-1)! Q'(1-y)^2 dy.
@@ -427,9 +415,8 @@ def unfortunate_inequality(Q, k: int) -> InequalityCheck:
     scale-invariant.
     """
     require(k >= 2, "k must be at least 2")
-    poly = Q if isinstance(Q, RationalPoly) else RationalPoly(Q)
-    require(not poly.is_zero, "invalid-Q: polynomial is identically zero")
-    require(poly(Fraction(0)) == 0, "invalid-Q: need Q(0) = 0")
-    lhs = weighted_square_integral(poly, k - 2)
-    rhs = Fraction(4, k) * weighted_square_integral(poly.deriv(), k - 1)
+    require(not Q.is_zero, "invalid-Q: polynomial is identically zero")
+    require(Q(Fraction(0)) == 0, "invalid-Q: need Q(0) = 0")
+    lhs = weighted_square_integral(Q, k - 2)
+    rhs = Fraction(4, k) * weighted_square_integral(Q.deriv(), k - 1)
     return InequalityCheck(lhs, rhs, lhs < rhs)

@@ -49,12 +49,6 @@ class RationalPoly:
             acc = acc * y + c
         return acc
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPoly(x + y for x, y in zip(a, b))
-
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         if self.is_zero or other.is_zero:
             return RationalPoly()
@@ -66,35 +60,12 @@ class RationalPoly:
                 out[i + j] += a * b
         return RationalPoly(out)
 
-    def scale(self, c: CoeffLike) -> "RationalPoly":
-        c = Fraction(c)
-        return RationalPoly(c * a for a in self.coeffs)
-
     def deriv(self, order: int = 1) -> "RationalPoly":
         require(order >= 0, "derivative order must be nonnegative")
         cs = self.coeffs
         for _ in range(order):
             cs = tuple(j * c for j, c in enumerate(cs))[1:]
         return RationalPoly(cs)
-
-    def compose_one_minus(self) -> "RationalPoly":
-        """The polynomial y -> self(1 - y)."""
-        acc = RationalPoly()
-        affine = RationalPoly([1, -1])
-        for c in reversed(self.coeffs):
-            acc = acc * affine + RationalPoly([c])
-        return acc
-
-    def shift_up(self, power: int) -> "RationalPoly":
-        """Multiply by y^power."""
-        require(power >= 0, "shift power must be nonnegative")
-        if self.is_zero:
-            return RationalPoly()
-        return RationalPoly((Fraction(0),) * power + self.coeffs)
-
-    def integrate01(self) -> Fraction:
-        """Exact integral over [0, 1]."""
-        return sum((c / (j + 1) for j, c in enumerate(self.coeffs)), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
@@ -107,11 +78,16 @@ class RationalPoly:
 
 
 def weighted_square_integral(Q: RationalPoly, a: int) -> Fraction:
-    """Exact value of integral_0^1 (y^a / a!) Q(1-y)^2 dy."""
+    """Exact value of integral_0^1 (y^a / a!) Q(1-y)^2 dy.
+
+    With u = 1 - y and Q^2 = sum s_n u^n, each term is the beta integral
+    integral_0^1 u^n (1-u)^a / a! du = n! / (n+a+1)!.
+    """
     require(a >= 0, "weight exponent must be nonnegative")
-    comp = Q.compose_one_minus()
-    sq = comp * comp
-    return sq.shift_up(a).integrate01() / math.factorial(a)
+    return sum(
+        (s / math.prod(range(n + 1, n + a + 2)) for n, s in enumerate((Q * Q).coeffs)),
+        Fraction(0),
+    )
 
 
 @dataclass(frozen=True)

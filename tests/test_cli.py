@@ -115,11 +115,15 @@ def test_precondition_failure_exits_2_without_partial_output(tmp_path, capsys):
     assert code == 2
     assert not out_file.exists()
     assert "L-too-small" in capsys.readouterr().err
-    # an empty modulus range, and checkpoint grids reaching below li's domain
+    # empty ranges, and checkpoint grids reaching below li's domain
     for argv, message in (
         (["montgomery", "--x", "1000", "--q-min", "10", "--q-max", "5"], "empty modulus range"),
+        (["inequality-scan", "--k-min", "5", "--k-max", "3", "--m-max", "4"], "empty scan"),
+        (["inequality-scan", "--k-max", "3", "--m-max", "0"], "empty scan"),
         (["bv-scan", "--x", "100", "--q-max", "5"], "64 checkpoints"),
         (["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "200"], "200 checkpoints"),
+        (["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "0", "--sensitivity"],
+         "at least one checkpoint"),
     ):
         assert main([*argv, "--out", str(out_file)]) == 2
         assert not out_file.exists()
@@ -158,6 +162,16 @@ def test_gpy_experiment_checks_level_before_building_weights(monkeypatch, capsys
     argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e4", "--R", "200000"]
     assert main(argv) == 2
     assert "level-too-large" in capsys.readouterr().err
+
+
+def test_bv_scan_sensitivity_checks_doubled_grid_before_scanning(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("scanned before the doubled grid was checked")
+
+    monkeypatch.setattr("primegaps.cli.bv_scan", refuse)
+    argv = ["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "40", "--sensitivity"]
+    assert main(argv) == 2
+    assert "--sensitivity" in capsys.readouterr().err
 
 
 def test_budget_error_exits_1(capsys):

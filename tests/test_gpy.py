@@ -304,12 +304,24 @@ def test_best_r_near_half_sqrt_k():
         assert abs(best_power_r(k) - math.sqrt(k) / 2) <= 1.0
 
 
+def test_best_r_matches_exact_scan():
+    # brute force over every r up to well past the maximizer near sqrt(k)/2
+    for k in [*range(2, 2001), 11000, 40000, 10**6]:
+        scan = range(2 * math.isqrt(k) + 3)
+        best = max(scan, key=lambda r: Fraction(2 * (2 * r + 1), (r + 1) * (k + 2 * r + 1)))
+        assert best_power_r(k) == best, k
+
+
 def test_general_matches_closed_form():
     for k in range(2, 12):
         for r in range(0, 6):
             closed = gpy_ratio(k, r, 0.5)
             general = gpy_ratio_general(PolynomialSpec.power(k, r), k, 0.5)
             assert general == pytest.approx(closed, rel=1e-9)
+            P = PolynomialSpec.power(k, r).poly
+            num = weighted_square_integral(P.deriv(k - 1), k - 2)
+            den = weighted_square_integral(P.deriv(k), k - 1)
+            assert num / den == Fraction(2 * (2 * r + 1), (r + 1) * (k + 2 * r + 1))
 
 
 def test_general_rejects_shallow_vanishing():
@@ -331,7 +343,7 @@ def test_unfortunate_example():
 def test_unfortunate_scaling_invariance():
     Q = RationalPoly([0, 2, -1])
     base = unfortunate_inequality(Q, 4)
-    scaled = unfortunate_inequality(Q.scale(Fraction(7, 3)), 4)
+    scaled = unfortunate_inequality(RationalPoly(Fraction(7, 3) * c for c in Q.coeffs), 4)
     c2 = Fraction(7, 3) ** 2
     assert scaled.lhs == base.lhs * c2
     assert scaled.rhs == base.rhs * c2

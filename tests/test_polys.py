@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,32 +28,36 @@ def test_deriv():
     assert p.deriv(4).is_zero
 
 
-def test_compose_one_minus():
-    p = RationalPoly([0, 0, 1])  # y^2
-    q = p.compose_one_minus()    # (1-y)^2
-    assert q.coeffs == (Fraction(1), Fraction(-2), Fraction(1))
-
-
-@given(coeff_lists, st.integers(min_value=-3, max_value=3))
-def test_compose_one_minus_pointwise(coeffs, y):
-    p = RationalPoly(coeffs)
-    assert p.compose_one_minus()(Fraction(y)) == p(Fraction(1 - y))
-
-
 @given(coeff_lists, coeff_lists, st.integers(min_value=-3, max_value=3))
 def test_mul_pointwise(a, b, y):
     pa, pb = RationalPoly(a), RationalPoly(b)
     assert (pa * pb)(Fraction(y)) == pa(Fraction(y)) * pb(Fraction(y))
 
 
-def test_integrate01():
-    # int_0^1 (1 + 2y + 3y^2) = 1 + 1 + 1 = 3
-    assert RationalPoly([1, 2, 3]).integrate01() == 3
-
-
 def test_weighted_square_integral_monomial():
     # int_0^1 y/1! * (1-y)^2 dy = B(2,3) = 1/12
     assert weighted_square_integral(RationalPoly([0, 1]), 1) == Fraction(1, 12)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@given(st.lists(rationals, max_size=7), st.integers(min_value=0, max_value=8))
+def test_weighted_square_integral_matches_definition(coeffs, a):
+    # expand Q(1-y) = sum c_j (1-y)^j binomially, square, multiply by
+    # y^a/a! and integrate term by term over [0, 1]
+    comp = [Fraction(0)] * max(len(coeffs), 1)
+    for j, c in enumerate(coeffs):
+        for i in range(j + 1):
+            comp[i] += c * math.comb(j, i) * (-1) ** i
+    square = [Fraction(0)] * (2 * len(comp) - 1)
+    for i, u in enumerate(comp):
+        for j, v in enumerate(comp):
+            square[i + j] += u * v
+    expected = sum(
+        (c / (n + a + 1) for n, c in enumerate(square)), Fraction(0)
+    ) / math.factorial(a)
+    assert weighted_square_integral(RationalPoly(coeffs), a) == expected
 
 
 def test_vanishing_order():
