@@ -35,13 +35,11 @@ from .gpy import (
     best_power_r,
     build_weights,
     denominator_form,
-    detector_a,
     exact_double_count,
     f_of,
     g_of,
     gpy_ratio,
     gpy_ratio_general,
-    gpy_ratio_quadrature,
     mobius,
     mobius_log_identity,
     numerator_form,
@@ -64,7 +62,6 @@ from .sieve import (
     factorize,
     is_prime,
     iter_gaps,
-    iter_primes,
     iter_segments,
     next_prime,
     prime_count,

@@ -45,14 +45,13 @@ from .gpy import (
     require_level,
     unfortunate_inequality,
 )
-from .progressions import bv_checkpoints, bv_scan, error_table, montgomery_ratio
+from .progressions import bv_scan, error_table, montgomery_ratio, require_checkpoints
 from .sieve import primes_upto
 from .tuples import (
     OffsetTuple,
     default_truncation,
     gallagher_average,
     hl_count,
-    is_admissible,
     singular_series,
 )
 
@@ -247,15 +246,14 @@ def _cmd_longgap(args):
 
 def _cmd_tuple(args):
     H = OffsetTuple.parse(args.offsets)
-    ok, witness = is_admissible(H)
-    L = args.L if args.L is not None else default_truncation(H)
+    L = args.L if args.L is not None else default_truncation(H.offsets[-1], H.k)
     _guard_level(args.force, H.k, L)
     ss = singular_series(H, L)
     row = {
         "offsets": str(H),
         "k": H.k,
-        "admissible": ok,
-        "witness": witness,
+        "admissible": not ss.is_zero,
+        "witness": ss.witness,
         "value": ss.value,
         "truncation_L": ss.truncation_L,
         "tail_bound": ss.tail_bound,
@@ -271,7 +269,7 @@ def _cmd_hl_count(args):
         args.x + H.offsets[-1] <= MAX_SIEVE_SPAN,
         f"x + h_k {args.x + H.offsets[-1]} beyond sieve budget",
     )
-    L = args.L if args.L is not None else default_truncation(H)
+    L = args.L if args.L is not None else default_truncation(H.offsets[-1], H.k)
     _guard_level(args.force, H.k, L)
     res = hl_count(H, args.x, L)
     row = {
@@ -286,7 +284,7 @@ def _cmd_hl_count(args):
 
 def _cmd_gallagher(args):
     budget = None if args.force else SUBSET_BUDGET
-    L = args.L if args.L is not None else max(100_000, args.h, 2 * args.k)
+    L = args.L if args.L is not None else default_truncation(args.h, args.k)
     _guard_level(args.force, args.k, L)
     res = gallagher_average(args.k, args.h, L, budget=budget)
     row = {
@@ -417,10 +415,12 @@ def _cmd_ap_table(args):
 def _cmd_bv_scan(args):
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     _guard(args.force, args.q_max <= MAX_BV_MODULI, "q_max beyond budget")
-    if args.sensitivity and args.checkpoints >= 1:  # bv_scan refuses fewer
-        require(bv_checkpoints(args.x, 2 * args.checkpoints)[0] >= 2,
-                f"--sensitivity doubles the grid to {2 * args.checkpoints} checkpoints, "
-                "which reach below 2: use fewer or a larger x")
+    require_checkpoints(args.x, args.checkpoints)
+    if args.sensitivity:
+        try:
+            require_checkpoints(args.x, 2 * args.checkpoints)
+        except PreconditionError as exc:
+            raise PreconditionError(f"--sensitivity doubles the grid: {exc}") from None
     res = bv_scan(args.x, args.q_max, args.checkpoints)
     rows = [
         {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRangeError, PreconditionError, require
-from .sieve import next_prime, prime_indicator, primes_between
+from .sieve import next_prime, prime_indicator, primes_between, primes_upto
 
 # Reference constants for the limsup of gap/(log p)^2: the random model
 # predicts 1; the corrected heuristic gives at least 2 e^{-gamma}.
@@ -77,14 +77,6 @@ class GapHistogram:
         return float(self.counts[:idx].sum() / self.total)
 
 
-def _validate_edges(bin_edges) -> np.ndarray:
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    require(edges.ndim == 1 and len(edges) >= 2, "need at least two bin edges")
-    require(bool((np.diff(edges) > 0).all()), "bin edges must be ascending")
-    require(edges[0] == 0.0, "first bin edge must be 0 so the bins partition")
-    return edges
-
-
 def _histogram_of_sequence(
     seq: np.ndarray, edges: np.ndarray, x_lo: int, x_hi: int
 ) -> GapHistogram:
@@ -106,7 +98,7 @@ def _histogram_of_sequence(
     return GapHistogram(edges, counts, int(len(normalized)), x_lo, x_hi, worst, worst_p)
 
 
-def gap_histogram(x_lo: int, x_hi: int, bin_edges=None) -> GapHistogram:
+def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
     """Histogram the normalized gap of every prime in [x_lo, x_hi).
 
     Each prime contributes its true gap; the successor of the last prime is
@@ -115,12 +107,11 @@ def gap_histogram(x_lo: int, x_hi: int, bin_edges=None) -> GapHistogram:
     """
     require(x_lo >= 3, "x_lo must be at least 3")
     require(x_hi > x_lo, "empty range")
-    edges = _validate_edges(default_bin_edges() if bin_edges is None else bin_edges)
     primes = primes_between(x_lo, x_hi)
     if len(primes) == 0:
         raise EmptyRangeError(f"no primes in [{x_lo}, {x_hi})")
     seq = np.append(primes, next_prime(int(primes[-1])))
-    return _histogram_of_sequence(seq, edges, x_lo, x_hi)
+    return _histogram_of_sequence(seq, default_bin_edges(), x_lo, x_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +241,7 @@ class CramerResult:
 _CRAMER_CHUNK = 1 << 20
 
 
-def cramer_simulate(cfg: CramerConfig, bin_edges=None) -> CramerResult:
+def cramer_simulate(cfg: CramerConfig) -> CramerResult:
     """Simulate X(n) over n <= n_max; deterministic for a fixed seed.
 
     The random stream is consumed in index order, so results do not depend
@@ -273,7 +264,7 @@ def cramer_simulate(cfg: CramerConfig, bin_edges=None) -> CramerResult:
     expected = 1.0 + math.fsum(expected_terms)
     sigma = math.sqrt(math.fsum(var_terms))
     positions = np.flatnonzero(ind)
-    edges = _validate_edges(default_bin_edges() if bin_edges is None else bin_edges)
+    edges = default_bin_edges()
     if len(positions) >= 2:
         hist = _histogram_of_sequence(positions, edges, 2, n)
     else:
@@ -323,13 +314,6 @@ _FACTORIAL_MAX = 20   # 21! exceeds 64 bits
 _PRIMORIAL_MAX = 52   # including the prime 53 exceeds 64 bits
 
 
-def _primorial(m: int) -> int:
-    out = 1
-    for p in primes_between(2, m + 1):
-        out *= int(p)
-    return out
-
-
 def long_gap_construct(kind: str, m: int) -> LongGapReport:
     """Build the factorial or primorial composite run for a given m.
 
@@ -339,17 +323,12 @@ def long_gap_construct(kind: str, m: int) -> LongGapReport:
     """
     require(kind in ("factorial", "primorial"), f"unknown construction {kind!r}")
     require(m >= 2, "m must be at least 2")
-    if kind == "factorial":
-        if m > _FACTORIAL_MAX:
-            raise OverflowError(f"{m}! exceeds 64 bits (max m = {_FACTORIAL_MAX})")
-        N = math.factorial(m)
-    else:
-        if m > _PRIMORIAL_MAX:
-            raise OverflowError(
-                f"primorial({m}) exceeds 64 bits (max m = {_PRIMORIAL_MAX})"
-            )
-        N = _primorial(m)
-    small = [int(p) for p in primes_between(2, m + 1)]
+    if kind == "factorial" and m > _FACTORIAL_MAX:
+        raise OverflowError(f"{m}! exceeds 64 bits (max m = {_FACTORIAL_MAX})")
+    if kind == "primorial" and m > _PRIMORIAL_MAX:
+        raise OverflowError(f"primorial({m}) exceeds 64 bits (max m = {_PRIMORIAL_MAX})")
+    small = primes_upto(m).tolist()
+    N = math.factorial(m) if kind == "factorial" else math.prod(small)
     for j in range(2, m + 1):
         if not any((N + j) % p == 0 for p in small):
             raise AssertionError(f"{N + j} unexpectedly has no factor <= {m}")

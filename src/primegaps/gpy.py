@@ -66,12 +66,6 @@ def mobius_log_identity(m: int, k: int) -> float:
     return math.fsum(terms)
 
 
-def squarefree_upto(R: int) -> list[int]:
-    """Squarefree integers in [1, R], ascending."""
-    require(R >= 1, "R must be at least 1")
-    return [d for d in range(1, R + 1) if mobius(d) != 0]
-
-
 def f_of(d: int, H: OffsetTuple) -> int:
     """Residue-class count f(d) = prod over p | d of nu_H(p), squarefree d.
 
@@ -102,16 +96,13 @@ def _local_product(d: int, H: OffsetTuple, shift: int) -> int:
 class WeightScheme:
     """Weights lambda_d on squarefree d <= R; zero elsewhere.
 
-    lam holds only the squarefree support; lambda_of returns 0.0 outside
-    it, matching mu(d) = 0 and the cutoff at R.
+    lam holds only the squarefree support, in ascending d; every other d
+    has lambda_d = 0, matching mu(d) = 0 and the cutoff at R.
     """
 
     R: int
     lam: dict[int, float]
-    P: PolynomialSpec | None = None
-
-    def lambda_of(self, d: int) -> float:
-        return self.lam.get(d, 0.0)
+    P: PolynomialSpec
 
     @property
     def support(self) -> list[int]:
@@ -130,27 +121,12 @@ def build_weights(P: PolynomialSpec, R: int) -> WeightScheme:
     if R >= 2:
         log_r = math.log(R)
         poly = P.poly
-        for d in squarefree_upto(R):
-            if d == 1:
-                continue
-            y = math.log(R / d) / log_r
-            lam[d] = mobius(d) * poly(y)
+        for d in range(2, R + 1):
+            mu = mobius(d)
+            if mu:
+                y = math.log(R / d) / log_r
+                lam[d] = mu * poly(y)
     return WeightScheme(R=R, lam=lam, P=P)
-
-
-def detector_a(n: int, H: OffsetTuple, w: WeightScheme) -> float:
-    """The squared weighted divisor sum a(n) over d | (n+h_1)...(n+h_k).
-
-    Only the squarefree d <= R in the scheme's support can contribute.
-    When n > R and every n + h_j is prime, only d = 1 survives and
-    a(n) = 1.
-    """
-    require(n >= 1, "n must be positive")
-    prod = 1
-    for h in H.offsets:
-        prod *= n + h
-    s = sum(lam for d, lam in sorted(w.lam.items()) if prod % d == 0)
-    return s * s
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +138,8 @@ class FormEvaluation:
 
     direct_sum runs over every integer n in [x, 2x] (inclusive);
     form_value is the quadratic-form main term; asymptotic is the
-    beta-integral prediction (NaN when the scheme carries no polynomial).
+    beta-integral prediction (NaN when R < 2, and for the numerator form
+    when P.k < 2).
     The three agree only up to the error terms being studied; none is
     substituted for another.
     """
@@ -189,7 +166,8 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> np.ndarray:
     """S[n - x] = sum of lambda_d over d dividing (n+h_1)...(n+h_k).
 
     Each n lies in one class mod d, so it receives lambda_d at most once
-    per d, in ascending d: the same float sum detector_a forms."""
+    per d, in ascending d: the same float sum as the per-n reference
+    detector_a in tests/test_gpy.py."""
     S = np.zeros(x + 1, dtype=np.float64)
     for d in w.support:
         for r in _divisor_residues(d, H).tolist():
@@ -255,7 +233,7 @@ def _asymptotic(w: WeightScheme, H: OffsetTuple, x: int, s: int) -> float:
     """Beta-integral main term of the denominator (s = 0) or numerator
     (s = 1) form, x/((log x)^s (log R)^m) * S(H) * integral_0^1
     y^(m-1)/(m-1)! P^(m)(1-y)^2 dy with m = k - s."""
-    if w.P is None or w.R < 2 or w.P.k <= s:
+    if w.R < 2 or w.P.k <= s:
         return math.nan
     m = w.P.k - s
     integral = weighted_square_integral(w.P.poly.deriv(m), m - 1)
@@ -362,27 +340,6 @@ def gpy_ratio_general(P: PolynomialSpec, k: int, theta: float) -> float:
     den = weighted_square_integral(P.poly.deriv(k), k - 1)
     require(den != 0, "denominator integral vanishes")
     return theta * float(num / den)
-
-
-def gpy_ratio_quadrature(P: PolynomialSpec, k: int, theta: float) -> float:
-    """Independent Gauss-Legendre evaluation of the same ratio.
-
-    Exists purely as a cross-check on the exact rational path; its fixed
-    80 nodes make the rule exact (to rounding) for all polynomial degrees
-    in range here.
-    """
-    require(k >= 2, "k must be at least 2")
-    nodes, weights = np.polynomial.legendre.leggauss(80)
-    y = 0.5 * (nodes + 1.0)
-    wts = 0.5 * weights
-
-    def integral(Q: RationalPoly, a: int) -> float:
-        vals = np.array([float(Q(1.0 - yi)) for yi in y])
-        return float((wts * y**a * vals * vals).sum() / math.factorial(a))
-
-    num = integral(P.poly.deriv(k - 1), k - 2)
-    den = integral(P.poly.deriv(k), k - 1)
-    return theta * num / den
 
 
 def best_power_r(k: int) -> int:

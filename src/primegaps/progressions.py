@@ -130,6 +130,16 @@ class BVScanResult:
     reference_q_bound: dict[int, float]
 
 
+def require_checkpoints(x: int, n_checkpoints: int) -> None:
+    """Refuse a grid whose smallest point x * 2^(-(n-1)/8) falls below 2.
+
+    The point is computed as bv_checkpoints computes it, without the grid.
+    """
+    require(n_checkpoints >= 1, "need at least one checkpoint")
+    require(x * np.exp2(-(n_checkpoints - 1) / 8.0) >= 2,
+            f"{n_checkpoints} checkpoints reach below 2: use fewer or a larger x")
+
+
 def bv_checkpoints(x: int, n_checkpoints: int) -> np.ndarray:
     """Geometric grid x * 2^(-j/8), ascending."""
     js = np.arange(n_checkpoints - 1, -1, -1, dtype=np.float64)
@@ -145,9 +155,8 @@ def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
     """
     require(x >= 100, "x must be at least 100")
     require(1 <= Q_max <= x, "need 1 <= Q_max <= x")
-    require(n_checkpoints >= 1, "need at least one checkpoint")
+    require_checkpoints(x, n_checkpoints)
     cps = bv_checkpoints(x, n_checkpoints)
-    require(cps[0] >= 2, f"{n_checkpoints} checkpoints reach below 2: use fewer or a larger x")
     primes = primes_upto(x)
     ends = np.searchsorted(primes, cps, side="right")
     li_vals = np.array([log_integral(float(y)) for y in cps])

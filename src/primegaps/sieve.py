@@ -59,8 +59,9 @@ _base_limit = 0
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    """All primes < limit, sieved by primes_between and cached.
+    """All primes < limit: a read-only prefix view of the one prime table.
 
+    The table is sieved by primes_between and grows at least twofold.
     Sieving [0, grow) needs only the primes below isqrt(grow - 1) + 1,
     which is less than grow once grow >= 3, and primes_between returns at
     once for grow <= 2, so the bootstrap recursion ends.
@@ -69,16 +70,15 @@ def _base_primes(limit: int) -> np.ndarray:
     if limit > _base_limit:
         grow = max(limit, 2 * _base_limit)
         _base = primes_between(0, grow)
+        _base.flags.writeable = False
         _base_limit = grow
     return _base[: int(np.searchsorted(_base, limit))]
 
 
 @lru_cache(maxsize=8)
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as a read-only int64 array (cached)."""
-    arr = primes_between(0, n + 1)
-    arr.flags.writeable = False
-    return arr
+    """All primes <= n: a read-only view of the base prime table."""
+    return _base_primes(n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +132,6 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     parts = [seg.primes() for seg in iter_segments(max(lo, 0), hi)]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def iter_primes(lo: int, hi: int) -> Iterator[int]:
-    """Yield primes in [lo, hi) in increasing order."""
-    for seg in iter_segments(max(lo, 0), hi):
-        for p in seg.primes():
-            yield int(p)
 
 
 def prime_count(x: int) -> int:

@@ -112,9 +112,10 @@ class SingularSeriesValue:
     witness: int | None = None
 
 
-def default_truncation(H: OffsetTuple) -> int:
-    """Default level: 10^5 covers k <= 10 comfortably, raised when needed."""
-    return max(100_000, H.offsets[-1], 2 * H.k)
+def default_truncation(h_max: int, k: int) -> int:
+    """Default level for k offsets up to h_max: 10^5 covers k <= 10
+    comfortably, raised to the least level singular_series accepts."""
+    return max(100_000, h_max, 2 * k)
 
 
 def singular_series(H: OffsetTuple, L: int | None = None) -> SingularSeriesValue:
@@ -126,7 +127,7 @@ def singular_series(H: OffsetTuple, L: int | None = None) -> SingularSeriesValue
     which sums to the reported tail_bound k(k+1)/L.
     """
     if L is None:
-        L = default_truncation(H)
+        L = default_truncation(H.offsets[-1], H.k)
     k = H.k
     require(
         L >= max(H.offsets[-1], 2 * k),
@@ -188,7 +189,7 @@ def gallagher_average(
     require(k >= 1, "k must be at least 1")
     require(h >= k, "h must be at least k")
     if L is None:
-        L = max(100_000, h, 2 * k)
+        L = default_truncation(h, k)
     require(L >= max(h, 2 * k), f"L-too-small: need L >= max(h, 2k) = {max(h, 2 * k)}")
     rhs = math.comb(h, k)
     if budget is not None and rhs > budget:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,8 +175,34 @@ def test_bv_scan_sensitivity_checks_doubled_grid_before_scanning(monkeypatch, ca
     assert "--sensitivity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--sensitivity"]], ids=["plain", "sensitivity"])
+def test_bv_scan_bounds_checkpoints_before_building_grid(monkeypatch, capsys, extra):
+    def refuse(*args):
+        raise AssertionError("built the checkpoint grid before bounding it")
+
+    monkeypatch.setattr("primegaps.progressions.bv_checkpoints", refuse)
+    argv = ["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "10000000", *extra]
+    assert main(argv) == 2
+    assert "10000000 checkpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "x_lo, p, gap",
+    [(738832927000, 738832927927, 540), (1693182318746000, 1693182318746371, 1132)],
+)
+def test_gaps_window_finds_published_maximal_gap(x_lo, p, gap):
+    # maximal-gap records (OEIS A002386 / A005250) at 7.4e11 and 1.7e15
+    code, out = run_cli(["gaps", "--x-lo", str(x_lo), "--x-hi", str(x_lo + 1000),
+                         "--format", "json"])
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["max_gap_at_p"] == p
+    assert meta["max_gap_over_log_sq"] == float(f"{gap / math.log(p) ** 2:.12g}")
+
+
 def test_budget_error_exits_1(capsys):
-    # forced past the guardrail, the library budget still trips: exit 1
+    # without --force the CLI hands its subset budget to the library, whose
+    # refusal is a runtime failure: exit 1
     code = main(["gallagher", "--k", "8", "--h", "5000", "--L", "10000"])
     assert code == 1
     assert "budget" in capsys.readouterr().err.lower()

@@ -54,19 +54,43 @@ def test_histogram_conservation_against_iter_gaps():
 def test_histogram_validation():
     with pytest.raises(PreconditionError):
         gap_histogram(2, 100)                 # x_lo below 3
-    with pytest.raises(PreconditionError):
-        gap_histogram(3, 100, [0.5, 1.0])     # first edge must be 0
-    with pytest.raises(PreconditionError):
-        gap_histogram(3, 100, [0.0, 0.0, 1.0])
     with pytest.raises(EmptyRangeError):
         gap_histogram(24, 29)
 
 
 def test_histogram_overflow_bin():
-    # one gap: 7 -> 11, normalized 4/log 7 ~ 2.056; tiny edges force overflow
-    hist = gap_histogram(7, 8, [0.0, 1.0])
+    # one gap: 1327 -> 1361, normalized 34/log 1327 ~ 4.73, past the last edge 4.0
+    hist = gap_histogram(1327, 1328)
     assert hist.total == 1
     assert hist.counts[-1] == 1
+
+
+# maximal-gap records below 1e7 as (gap, p): OEIS A005250 / A002386
+MAXIMAL_GAPS = [
+    (1, 2), (2, 3), (4, 7), (6, 23), (8, 89), (14, 113), (18, 523), (20, 887),
+    (22, 1129), (34, 1327), (36, 9551), (44, 15683), (52, 19609), (72, 31397),
+    (86, 155921), (96, 360653), (112, 370261), (114, 492113), (118, 1349533),
+    (132, 1357201), (148, 2010733), (154, 4652353),
+]
+
+
+def test_maximal_gap_records_from_iter_gaps():
+    records = []
+    for g in iter_gaps(2, 10**7):
+        if not records or g.gap > records[-1][0]:
+            records.append((g.gap, g.p))
+    assert records == MAXIMAL_GAPS
+
+
+def test_maximal_gap_records_from_histogram():
+    # no gap from a record up to the next one exceeds the record, and log p
+    # grows, so the record is its window's largest gap/(log p)^2; the next
+    # record after 4652353 is 180 at 17051707
+    ends = [p for _, p in MAXIMAL_GAPS[2:]] + [10**7]
+    for (gap, p), end in zip(MAXIMAL_GAPS[1:], ends):
+        hist = gap_histogram(p, end)
+        assert hist.max_gap_at_p == p
+        assert hist.max_gap_over_log_sq == gap / math.log(p) ** 2
 
 
 def test_gap_mass_near_exponential(baseline):

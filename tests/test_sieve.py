@@ -15,6 +15,7 @@ from primegaps import (
     prime_count,
     prime_indicator,
     primes_between,
+    primes_upto,
     sieve_range,
 )
 from primegaps.sieve import MAX_RANGE
@@ -153,11 +154,28 @@ def test_factorize_matches_naive():
         assert factorize(n) == naive_factorize(n)
 
 
-def test_iter_primes_stream():
-    from primegaps import iter_primes
+def _trial_division_upto(n: int) -> np.ndarray:
+    """Primes <= n by trial division, vectorized over m: m is kept when no
+    prime up to sqrt(n) other than m divides it; those primes come from
+    the scalar trial division."""
+    m = np.arange(n + 1, dtype=np.int64)
+    keep = m >= 2
+    for p in trial_division_primes(2, math.isqrt(n) + 1):
+        keep &= (m % p != 0) | (m == p)
+    return np.flatnonzero(keep)
 
-    assert list(iter_primes(0, 30)) == trial_division_primes(0, 30)
-    assert list(iter_primes(90, 100)) == [97]
+
+def test_primes_upto_views_one_table():
+    # a view cached before the table last grew holds the same primes but
+    # points into the superseded table; the larger call goes first, so the
+    # smaller one needs no growth
+    primes_upto.cache_clear()
+    big = primes_upto(10**6)
+    small = primes_upto(10**5)
+    assert np.shares_memory(big, small)
+    assert not big.flags.writeable and not small.flags.writeable
+    assert np.array_equal(big, _trial_division_upto(10**6))
+    assert small.tolist() == trial_division_primes(0, 10**5 + 1)
 
 
 def test_sieve_range_rejects_beyond_signed_64():
