@@ -53,7 +53,7 @@ from .progressions import (
     error_table,
     euler_phi,
     log_integral,
-    montgomery_ratio,
+    montgomery_ratios,
     pi_ap,
 )
 from .sieve import (

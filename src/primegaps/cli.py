@@ -45,7 +45,7 @@ from .gpy import (
     require_level,
     unfortunate_inequality,
 )
-from .progressions import bv_scan, error_table, montgomery_ratio, require_checkpoints
+from .progressions import bv_scan, error_table, montgomery_ratios, require_checkpoints
 from .sieve import primes_upto
 from .tuples import (
     OffsetTuple,
@@ -451,13 +451,10 @@ def _cmd_bv_scan(args):
 def _cmd_montgomery(args):
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     q_hi = args.q_max if args.q_max is not None else args.q_min
-    require(args.q_min <= q_hi, f"empty modulus range: q_min {args.q_min} > q_max {q_hi}")
     # bounds the moduli count too, since every modulus is at least 1
     _guard(args.force, q_hi <= MAX_BV_MODULI, "q_max beyond budget")
-    rows = [
-        {"q": q, "ratio": montgomery_ratio(args.x, q, args.eps)}
-        for q in range(args.q_min, q_hi + 1)
-    ]
+    ratios = montgomery_ratios(args.x, args.q_min, q_hi, args.eps)
+    rows = [{"q": q, "ratio": ratio} for q, ratio in ratios.items()]
     best = max(rows, key=lambda row: row["ratio"])
     meta = _meta(args, x=args.x, q_min=args.q_min, q_max=q_hi, eps=args.eps)
     meta["max_ratio"] = best["ratio"]
@@ -486,7 +483,8 @@ def _add_common(sp: argparse.ArgumentParser, seeded: bool = False) -> None:
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker threads; output is identical at any value")
+                    help="accepted for compatibility; no subcommand uses it, "
+                         "so output is identical at any value")
     sp.add_argument("--force", action="store_true",
                     help="override the size guardrails")
     if seeded:

@@ -88,18 +88,42 @@ class ErrorTable(NamedTuple):
     max_abs_error: float
 
 
+def _class_counts(primes: np.ndarray, ends, q_lo: int, q_hi: int):
+    """Yield (q, C) once for each modulus q in [q_lo, q_hi], in no set order.
+
+    C is the (len(ends), q) count matrix: C[j, a] counts the primes in
+    primes[:ends[j]] that are = a (mod q).  The primes are reduced only
+    mod the tops q_hi, q_hi - 1, ... down to max(q_hi // 2, q_lo - 1) + 1;
+    every smaller modulus is top / 2^k for exactly one top.  Since the
+    class a mod q is the union of the classes a and a + q mod 2q, each
+    chain top, top/2, ... is walked by folding C[:, :q] + C[:, q:] while
+    the modulus is even and its half stays >= q_lo.  The counts are exact.
+    """
+    for top in range(q_hi, max(q_hi // 2, q_lo - 1), -1):
+        r = primes[: ends[-1]] % top
+        # row j: counts per class of the primes up to ends[j]
+        C = np.cumsum([np.bincount(s, minlength=top) for s in np.split(r, ends[:-1])], axis=0)
+        q = top
+        yield q, C
+        while q % 2 == 0 and q // 2 >= q_lo:
+            q //= 2
+            C = C[:, :q] + C[:, q:]
+            yield q, C
+
+
 def error_table(x: int, q: int) -> ErrorTable:
     """Per-residue errors for all reduced classes mod q, and E(x; q).
 
     E(x; q) is the maximum |error| over residues a coprime to q."""
     require(x >= 2, "x must be at least 2")
     require(q >= 1, "q must be positive")
+    primes = primes_upto(x)
+    _, C = next(_class_counts(primes, [len(primes)], q, q))
     reduced = _reduced_residues(q)
-    counts = np.bincount(primes_upto(x) % q, minlength=q)[reduced]
     expected = log_integral(x) / len(reduced)
     records = [
         APErrorRecord(q, a, c, expected, c - expected)
-        for a, c in zip(reduced.tolist(), counts.tolist())
+        for a, c in zip(reduced.tolist(), C[0, reduced].tolist())
     ]
     max_err = max(abs(rec.error) for rec in records)
     return ErrorTable(records, max_err)
@@ -149,8 +173,9 @@ def bv_checkpoints(x: int, n_checkpoints: int) -> np.ndarray:
 def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
     """Per-modulus maxima of |E(y; q)| on a checkpoint grid, summed.
 
-    One sieve pass provides all primes; per modulus the primes between
-    consecutive checkpoints are bincounted by class and accumulated.
+    One sieve pass provides all primes.  The primes between consecutive
+    checkpoints are bincounted by class and accumulated, mod q only for
+    q > Q_max/2; every smaller modulus folds the counts of 2q.
     Deterministic: identical parameters give bit-identical results.
     """
     require(x >= 100, "x must be at least 100")
@@ -162,19 +187,15 @@ def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
     li_vals = np.array([log_integral(float(y)) for y in cps])
     per_q: dict[int, float] = {}
     argmax: dict[int, float] = {}
-    totals = []
-    for q in range(1, Q_max + 1):
+    for q, C in _class_counts(primes, ends, 1, Q_max):
         reduced = _reduced_residues(q)
-        r = primes % q
-        # row j: counts per class of the primes up to checkpoint j
-        C = np.cumsum([np.bincount(s, minlength=q) for s in np.split(r, ends[:-1])], axis=0)
         errs = np.abs(C[:, reduced] - li_vals[:, None] / len(reduced))
         row_max = errs.max(axis=1)
         j_best = int(row_max.argmax())
         per_q[q] = float(row_max[j_best])
         argmax[q] = float(cps[j_best])
-        totals.append(per_q[q])
-    total = math.fsum(totals)
+    per_q, argmax = dict(sorted(per_q.items())), dict(sorted(argmax.items()))
+    total = math.fsum(per_q.values())
     logx = math.log(x)
     normalized = {A: total * logx**A / x for A in (1, 2, 3)}
     reference = {A: math.sqrt(x) / logx ** (24 * A + 46) for A in (1, 2, 3)}
@@ -190,13 +211,23 @@ def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
     )
 
 
-def montgomery_ratio(x: int, q: int, eps: float) -> float:
-    """Observed constant E(x; q) * sqrt(q) / x^(1/2 + eps).
+def montgomery_ratios(x: int, q_min: int, q_max: int, eps: float) -> dict[int, float]:
+    """Observed constants E(x; q) * sqrt(q) / x^(1/2 + eps), q_min <= q <= q_max.
 
-    The conjectured square-root-of-q savings says this stays bounded for
-    all q <= x once eps > 0."""
-    require(q >= 1, "q must be positive")
-    require(q <= x, "need q <= x")
+    The conjectured square-root-of-q savings says these stay bounded for
+    all q <= x once eps > 0.  E(x; q) is error_table(x, q).max_abs_error,
+    computed from the folded class counts without per-class records; the
+    keys ascend."""
+    require(x >= 2, "x must be at least 2")
+    require(q_min >= 1, "q_min must be positive")
+    require(q_min <= q_max, f"empty modulus range: q_min {q_min} > q_max {q_max}")
+    require(q_max <= x, f"q_max {q_max} exceeds x {x}")
     require(eps >= 0, "eps must be nonnegative")
-    E = error_table(x, q).max_abs_error
-    return E * math.sqrt(q) / x ** (0.5 + eps)
+    primes = primes_upto(x)
+    li_x = log_integral(x)
+    ratios = {}
+    for q, C in _class_counts(primes, [len(primes)], q_min, q_max):
+        reduced = _reduced_residues(q)
+        E = float(np.abs(C[0, reduced] - li_x / len(reduced)).max())
+        ratios[q] = E * math.sqrt(q) / x ** (0.5 + eps)
+    return dict(sorted(ratios.items()))

@@ -72,13 +72,22 @@ def _base_primes(limit: int) -> np.ndarray:
         _base = primes_between(0, grow)
         _base.flags.writeable = False
         _base_limit = grow
+        _clear_views()
     return _base[: int(np.searchsorted(_base, limit))]
 
 
 @lru_cache(maxsize=8)
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n: a read-only view of the base prime table."""
+    """All primes <= n: a read-only view of the base prime table.
+
+    The cache is cleared whenever the table grows, so it never pins a
+    superseded table."""
     return _base_primes(n + 1)
+
+
+# bound to the cache itself, so it still clears it when a tracer rebinds
+# the module name primes_upto (bench/shim.py does)
+_clear_views = primes_upto.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import primegaps
+from primegaps import progressions
 from primegaps.cli import MAX_BV_MODULI, build_parser, emit, main, parse_exact_int
 
 ALL_SUBCOMMANDS = [
@@ -110,15 +111,22 @@ def test_missing_required_flag_exits_2(tmp_path):
     assert not out_file.exists()
 
 
-def test_precondition_failure_exits_2_without_partial_output(tmp_path, capsys):
+def test_precondition_failure_exits_2_without_partial_output(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "bad.csv"
     code = main(["tuple", "--offsets", "0,2", "--L", "2", "--out", str(out_file)])
     assert code == 2
     assert not out_file.exists()
     assert "L-too-small" in capsys.readouterr().err
-    # empty ranges, and checkpoint grids reaching below li's domain
+
+    def refuse(*args):
+        raise AssertionError("primes counted before the precondition check")
+
+    monkeypatch.setattr(progressions, "primes_upto", refuse)
+    # empty ranges, moduli beyond x, and checkpoint grids reaching below
+    # li's domain, all refused before any prime is counted
     for argv, message in (
         (["montgomery", "--x", "1000", "--q-min", "10", "--q-max", "5"], "empty modulus range"),
+        (["montgomery", "--x", "100", "--q-max", "200"], "q_max 200 exceeds x 100"),
         (["inequality-scan", "--k-min", "5", "--k-max", "3", "--m-max", "4"], "empty scan"),
         (["inequality-scan", "--k-max", "3", "--m-max", "0"], "empty scan"),
         (["bv-scan", "--x", "100", "--q-max", "5"], "64 checkpoints"),

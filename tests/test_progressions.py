@@ -11,7 +11,7 @@ from primegaps import (
     error_table,
     euler_phi,
     log_integral,
-    montgomery_ratio,
+    montgomery_ratios,
     pi_ap,
     prime_count,
 )
@@ -218,22 +218,84 @@ def test_bv_validation():
 
 
 # ---------------------------------------------------------------------------
+# folded class counts against a per-modulus referee
+
+def _per_q_scan(x, Q, n_checkpoints):
+    """The scan reduced mod every q: primes % q, one bincount per checkpoint
+    slice, accumulated; returns (per_q, argmax_y, total)."""
+    cps = bv_checkpoints(x, n_checkpoints)
+    primes = primes_upto(x)
+    ends = np.searchsorted(primes, cps, side="right")
+    li_vals = np.array([log_integral(float(y)) for y in cps])
+    per_q, argmax = {}, {}
+    for q in range(1, Q + 1):
+        reduced = [a for a in range(q) if math.gcd(a, q) == 1]
+        r = primes % q
+        C = np.cumsum([np.bincount(s, minlength=q) for s in np.split(r, ends[:-1])], axis=0)
+        row_max = np.abs(C[:, reduced] - li_vals[:, None] / len(reduced)).max(axis=1)
+        j = int(row_max.argmax())
+        per_q[q], argmax[q] = float(row_max[j]), float(cps[j])
+    return per_q, argmax, math.fsum(per_q.values())
+
+
+def _check_fold(x, Q, n_checkpoints, q_min, q_max, eps):
+    res = bv_scan(x, Q, n_checkpoints)
+    per_q, argmax, total = _per_q_scan(x, Q, n_checkpoints)
+    assert res.per_q == per_q
+    assert res.argmax_y == argmax
+    assert res.total == total
+    ratios = montgomery_ratios(x, q_min, q_max, eps)
+    assert list(ratios) == list(range(q_min, q_max + 1))
+    for q, ratio in ratios.items():
+        E = error_table(x, q).max_abs_error
+        assert ratio == E * math.sqrt(q) / x ** (0.5 + eps), q
+
+
+@st.composite
+def _fold_cases(draw):
+    x = draw(st.integers(min_value=100, max_value=2 * 10**4))
+    Q = draw(st.integers(min_value=1, max_value=min(300, x)))
+    # x >= 100 keeps 46 checkpoints at or above 2
+    n_checkpoints = draw(st.integers(min_value=1, max_value=46))
+    q_max = draw(st.integers(min_value=1, max_value=Q))
+    q_min = draw(st.integers(min_value=1, max_value=q_max))
+    eps = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    return x, Q, n_checkpoints, q_min, q_max, eps
+
+
+@settings(max_examples=50, deadline=None)
+@given(_fold_cases())
+def test_folded_counts_match_per_q_reduction(case):
+    _check_fold(*case)
+
+
+@pytest.mark.parametrize("case", [
+    (1000, 1, 8, 1, 1, 0.0),            # Q = 1: one top, no folds
+    (4096, 256, 16, 64, 64, 0.0),       # Q a power of two; q_min == q_max
+    (20000, 300, 46, 151, 300, 0.1),    # q_min > q_max // 2: no folds
+    (20000, 300, 46, 1, 300, 0.25),     # every chain walked to q = 1
+    (150, 150, 1, 75, 150, 0.0),        # Q = x, one checkpoint
+])
+def test_folded_counts_edge_cases(case):
+    _check_fold(*case)
+
+
+# ---------------------------------------------------------------------------
 # the conjectured error bound constant
 
 def test_montgomery_nonnegative():
-    assert montgomery_ratio(10**4, 7, 0.0) >= 0.0
+    assert montgomery_ratios(10**4, 7, 7, 0.0)[7] >= 0.0
 
 
 def test_montgomery_decreasing_in_eps():
-    vals = [montgomery_ratio(10**4, 7, eps) for eps in (0.0, 0.1, 0.25)]
+    vals = [montgomery_ratios(10**4, 7, 7, eps)[7] for eps in (0.0, 0.1, 0.25)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_montgomery_scan_baseline(baseline):
     x = 10**6
     best_q, best = None, -1.0
-    for q in range(2, 1001):
-        r = montgomery_ratio(x, q, 0.0)
+    for q, r in montgomery_ratios(x, 2, 1000, 0.0).items():
         if r > best:
             best_q, best = q, r
     baseline.check("montgomery_max_ratio_x1e6", best, rel_tol=1e-9)
@@ -242,7 +304,10 @@ def test_montgomery_scan_baseline(baseline):
 
 
 def test_montgomery_validation():
-    with pytest.raises(PreconditionError):
-        montgomery_ratio(100, 200, 0.0)
-    with pytest.raises(PreconditionError):
-        montgomery_ratio(100, 7, -0.1)
+    for args in ((100, 200, 200, 0.0),  # q beyond x
+                 (100, 7, 7, -0.1),     # negative eps
+                 (100, 10, 5, 0.0),     # q_min > q_max
+                 (100, 2, 200, 0.0),    # q_max > x
+                 (100, 0, 5, 0.0)):     # q_min below 1
+        with pytest.raises(PreconditionError):
+            montgomery_ratios(*args)

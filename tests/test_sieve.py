@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primegaps
 from primegaps import (
     PreconditionError,
     RangeTooLargeError,
@@ -166,16 +170,30 @@ def _trial_division_upto(n: int) -> np.ndarray:
 
 
 def test_primes_upto_views_one_table():
-    # a view cached before the table last grew holds the same primes but
-    # points into the superseded table; the larger call goes first, so the
-    # smaller one needs no growth
-    primes_upto.cache_clear()
+    # the table's growth clears the cache, so whatever ran before, both
+    # views point into the current table
     big = primes_upto(10**6)
     small = primes_upto(10**5)
     assert np.shares_memory(big, small)
     assert not big.flags.writeable and not small.flags.writeable
     assert np.array_equal(big, _trial_division_upto(10**6))
     assert small.tolist() == trial_division_primes(0, 10**5 + 1)
+
+
+def test_primes_upto_cache_follows_table_growth():
+    # a fresh process, so that both calls grow the table whatever ran before
+    script = (
+        "import numpy as np\n"
+        "from primegaps import sieve\n"
+        "sieve.primes_upto(10**5)\n"
+        "sieve.primes_upto(10**7)\n"
+        "assert np.shares_memory(sieve.primes_upto(10**5), sieve._base)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sieve_range_rejects_beyond_signed_64():
