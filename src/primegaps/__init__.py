@@ -58,7 +58,6 @@ from .progressions import (
 )
 from .sieve import (
     PrimeGap,
-    SieveSegment,
     factorize,
     is_prime,
     iter_gaps,

@@ -27,18 +27,30 @@ _U64_MAX = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class SieveSegment:
-    """Primality bitmap for the half-open range [lo, hi).
+    """Primality of the half-open range [lo, hi), stored for odd numbers only.
 
-    bits[i] is True iff lo + i is prime.
+    odd[i] is True iff o + 2i is prime, where o = lo | 1 is the first odd
+    number >= lo.  The one even prime, 2, is not stored: it is in the
+    segment iff lo <= 2 < hi.
     """
 
     lo: int
     hi: int
-    bits: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Full bitmap, expanded on demand: bits[i] is True iff lo + i is prime."""
+        return _indicator(self.lo, self.hi, (self,))
 
     def primes(self) -> np.ndarray:
         """Primes in [lo, hi) as an int64 array."""
-        return np.flatnonzero(self.bits).astype(np.int64) + self.lo
+        out = np.flatnonzero(self.odd).astype(np.int64, copy=False)
+        out *= 2
+        out += self.lo | 1
+        if self.lo <= 2 < self.hi:
+            out = np.concatenate(([2], out))
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,11 +105,66 @@ _clear_views = primes_upto.cache_clear
 # ---------------------------------------------------------------------------
 # segmented sieving
 
-def sieve_range(lo: int, hi: int) -> SieveSegment:
-    """Sieve the half-open range [lo, hi) into a primality bitmap.
+# Odd index i of the wheel pattern stands for 2i + 1; the pattern strikes
+# every odd multiple of 3, 5, 7, 11 and 13 (those primes included), and
+# repeats with period 3*5*7*11*13 in odd indices since 2*15015 = 30030 is
+# a multiple of each of them.
+_WHEEL = (3, 5, 7, 11, 13)
+_PERIOD = 15015
 
-    Raises RangeTooLargeError when hi - lo exceeds MAX_RANGE; iterate
-    iter_segments for longer ranges.
+
+def _wheel_pattern() -> np.ndarray:
+    pattern = np.ones(2 * _PERIOD, dtype=bool)  # two periods: any phase slices
+    for p in _WHEEL:
+        pattern[(p - 1) // 2 :: p] = False
+    pattern.flags.writeable = False
+    return pattern
+
+
+_PATTERN = _wheel_pattern()
+
+# A prime below _SMALL strikes block by block, at least 64 times per block
+# of _BLOCK odd flags (1 MiB, within a typical L2 cache), so its strided
+# writes stay in cache; measured at 1e8 this sieves about twice as fast as
+# one pass over a whole 8 MiB segment.
+_BLOCK = 1 << 20
+_SMALL = 1 << 14
+
+
+def _presieved(phase: int, n: int) -> np.ndarray:
+    """n odd flags from the wheel pattern, starting at its index phase."""
+    out = np.empty(n, dtype=bool)
+    done = min(n, _PERIOD)
+    out[:done] = _PATTERN[phase : phase + done]
+    while done < n:  # done is a whole number of periods: double it
+        step = min(done, n - done)
+        out[done : done + step] = out[:step]
+        done += step
+    return out
+
+
+def _first_strikes(lo: int, ps: np.ndarray) -> np.ndarray:
+    """Odd index, counted from lo | 1, of the first odd multiple of each
+    p in ps that is >= max(p^2, lo)."""
+    # the first odd multiple at or past lo is lo + off with off < 2p, so
+    # every term stays below 2p and nothing overflows near 2^63; its odd
+    # index is off // 2 whatever the parity of lo
+    off = (-lo) % ps
+    even = off % 2 == lo % 2
+    off[even] += ps[even]
+    start = off // 2
+    late = ps * ps >= lo
+    start[late] = (ps[late] * ps[late] - (lo | 1)) // 2
+    return start
+
+
+def sieve_range(lo: int, hi: int) -> SieveSegment:
+    """Sieve the half-open range [lo, hi) into its odd primality flags.
+
+    The flags start as the presieved wheel pattern; only the primes from
+    17 up to sqrt(hi) strike, each from its first odd multiple >= max(p^2,
+    lo) in steps of 2p.  Raises RangeTooLargeError when hi - lo exceeds
+    MAX_RANGE; iterate iter_segments for longer ranges.
     """
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
     require(hi <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
@@ -106,14 +173,28 @@ def sieve_range(lo: int, hi: int) -> SieveSegment:
             f"span {hi - lo} exceeds the {MAX_RANGE} single-call budget; "
             "iterate segments instead"
         )
-    bits = np.ones(hi - lo, dtype=bool)
-    if lo < 2:
-        bits[: min(2 - lo, hi - lo)] = False
-    for p in _base_primes(math.isqrt(hi - 1) + 1).tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            bits[start - lo :: p] = False
-    return SieveSegment(lo, hi, bits)
+    o = lo | 1
+    odd = _presieved(((o - 1) // 2) % _PERIOD, (hi - o + 1) // 2)
+    for p in _WHEEL:
+        if o <= p < hi:
+            odd[(p - o) // 2] = True
+    if o == 1:
+        odd[:1] = False
+    ps = _base_primes(math.isqrt(hi - 1) + 1)[len(_WHEEL) + 1 :]
+    n = len(odd)
+    # primes with many strikes per block strike block by block, so the
+    # strided writes stay in cache; the rest walk the whole segment, and
+    # those with at most one strike in it are struck in one fancy index
+    small, mid, big = np.split(ps, np.searchsorted(ps, [min(_SMALL, n), n]))
+    for b in range(0, n, _BLOCK):
+        view = odd[b : b + _BLOCK]
+        for j, p in zip(_first_strikes(o + 2 * b, small).tolist(), small.tolist()):
+            view[j::p] = False
+    for j, p in zip(_first_strikes(lo, mid).tolist(), mid.tolist()):
+        odd[j::p] = False
+    j = _first_strikes(lo, big)
+    odd[j[j < n]] = False
+    return SieveSegment(lo, hi, odd)
 
 
 def iter_segments(lo: int, hi: int) -> Iterator[SieveSegment]:
@@ -126,13 +207,20 @@ def iter_segments(lo: int, hi: int) -> Iterator[SieveSegment]:
         cur = nxt
 
 
+def _indicator(lo: int, hi: int, segments) -> np.ndarray:
+    """Spread the odd flags of segments covering [lo, hi) over a full bitmap."""
+    out = np.zeros(hi - lo, dtype=bool)  # zeroed: the even slots stay False
+    for seg in segments:
+        out[(seg.lo | 1) - lo : seg.hi - lo : 2] = seg.odd
+    if lo <= 2 < hi:
+        out[2 - lo] = True
+    return out
+
+
 def prime_indicator(lo: int, hi: int) -> np.ndarray:
     """Boolean array of length hi - lo; entry i marks lo + i prime."""
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
-    out = np.empty(hi - lo, dtype=bool)
-    for seg in iter_segments(lo, hi):
-        out[seg.lo - lo : seg.hi - lo] = seg.bits
-    return out
+    return _indicator(lo, hi, iter_segments(lo, hi))
 
 
 def primes_between(lo: int, hi: int) -> np.ndarray:
@@ -148,7 +236,8 @@ def prime_count(x: int) -> int:
     require(x >= 0, "x must be nonnegative")
     if x < 2:
         return 0
-    return sum(int(seg.bits.sum()) for seg in iter_segments(0, x + 1))
+    # 1 for the prime 2, which the segments do not store
+    return 1 + sum(int(np.count_nonzero(seg.odd)) for seg in iter_segments(0, x + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +307,7 @@ def iter_gaps(x_lo: int, x_hi: int) -> Iterator[PrimeGap]:
         return
     prev: int | None = None
     for seg in iter_segments(x_lo, x_hi):
-        for p in seg.primes():
-            p = int(p)
+        for p in seg.primes().tolist():
             if prev is not None:
                 yield PrimeGap(prev, p, p - prev, (p - prev) / math.log(prev))
             prev = p

@@ -15,6 +15,7 @@ from primegaps import (
     factorize,
     is_prime,
     iter_gaps,
+    iter_segments,
     next_prime,
     prime_count,
     prime_indicator,
@@ -22,7 +23,7 @@ from primegaps import (
     primes_upto,
     sieve_range,
 )
-from primegaps.sieve import MAX_RANGE
+from primegaps.sieve import MAX_RANGE, SEGMENT_SIZE
 
 from conftest import naive_factorize, naive_sieve_count, trial_division_primes
 
@@ -56,6 +57,11 @@ def test_prime_count_examples():
     published = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
     for k, pi in enumerate(published, start=1):
         assert prime_count(10**k) == pi
+
+
+def test_prime_count_1e9():
+    # published pi(10^9): the README promises exact pi(x) up to 1e9
+    assert prime_count(10**9) == 50_847_534
 
 
 @given(st.integers(min_value=0, max_value=3000))
@@ -128,6 +134,55 @@ def test_segment_independence(n, cuts):
     mono = sieve_range(0, n).bits
     parts = [sieve_range(a, b).bits for a, b in zip(points, points[1:])]
     assert np.array_equal(mono, np.concatenate(parts) if parts else mono[:0])
+
+
+def _assert_sieved(lo: int, hi: int) -> None:
+    expected = trial_division_primes(lo, hi)
+    seg = sieve_range(lo, hi)
+    assert seg.primes().tolist() == expected, (lo, hi)
+    assert (np.flatnonzero(seg.bits) + lo).tolist() == expected, (lo, hi)
+
+
+def test_sieve_wheel_edges_match_trial_division():
+    # the presieve strikes 3..13, so 17^2 = 289 is the first composite
+    # left for the strike loop
+    for n in range(1, 401):
+        _assert_sieved(0, n)
+    # windows starting on 1, on 2, on each presieved prime and on 17
+    for lo in (1, 2, 3, 5, 7, 11, 13, 17):
+        for hi in range(lo + 1, lo + 200):
+            _assert_sieved(lo, hi)
+    # windows straddling a multiple of 2 * 15015, where the presieve
+    # pattern wraps, from odd and even starts
+    for m in (2 * 15015, 4 * 15015, 2 * 15015 * 35):
+        for lo in range(m - 40, m + 1):
+            _assert_sieved(lo, m + 41)
+
+
+def test_segment_boundary_with_odd_lo():
+    lo = 10**6 + 1  # odd, so the boundary lo + SEGMENT_SIZE is odd too
+    boundary, hi = lo + SEGMENT_SIZE, lo + SEGMENT_SIZE + 1000
+    segs = list(iter_segments(lo, hi))
+    assert [(s.lo, s.hi) for s in segs] == [(lo, boundary), (boundary, hi)]
+    primes = np.concatenate([s.primes() for s in segs])
+    assert primes[primes >= boundary - 1000].tolist() == trial_division_primes(boundary - 1000, hi)
+    # prime_count cuts its segments at multiples of SEGMENT_SIZE from 0
+    assert len(primes) == prime_count(hi - 1) - prime_count(lo - 1)
+    assert np.array_equal(np.flatnonzero(prime_indicator(lo, hi)) + lo, primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**15) | st.integers(min_value=10**12, max_value=10**15),
+    st.integers(min_value=1, max_value=4096),
+)
+def test_sieve_far_from_zero_matches_is_prime(lo, span):
+    """The presieve phase and the parity of the first strike far from 0;
+    an odd lo also checks that prime_indicator's even slots are False."""
+    hi = lo + span
+    expected = [n for n in range(lo, hi) if is_prime(n)]
+    assert sieve_range(lo, hi).primes().tolist() == expected
+    assert (np.flatnonzero(prime_indicator(lo, hi)) + lo).tolist() == expected
 
 
 def test_prime_indicator_consistency():
