@@ -39,9 +39,9 @@ from .gpy import (
     best_power_r,
     build_weights,
     denominator_form,
+    form_pair,
     gpy_ratio,
     gpy_ratio_general,
-    numerator_form,
     require_level,
     unfortunate_inequality,
 )
@@ -153,7 +153,8 @@ def _guard(force: bool, condition: bool, message: str) -> None:
 
 
 def _guard_level(force: bool, k: int, L: int) -> None:
-    # singular_series holds a k x pi(L) residue matrix and a sorted copy
+    # the series kernel sorts a k x pi(max(span, k)) residue array per
+    # tuple, with span <= L, beside factor columns of pi(L) floats each
     _guard(force, k * L <= MAX_SIEVE_SPAN, f"k*L {k * L} beyond singular-series budget")
 
 
@@ -339,28 +340,20 @@ def _cmd_gpy_experiment(args):
     require_level(R, args.x)
     P = PolynomialSpec.power(H.k, args.r)
     w = build_weights(P, R)
-    rows = []
-    den = denominator_form(w, H, args.x)
-    rows.append(
-        {
-            "form": "denominator",
-            "j": None,
-            "direct_sum": den.direct_sum,
-            "form_value": den.form_value,
-            "asymptotic": den.asymptotic,
-        }
-    )
     if H.k >= 2:
-        num = numerator_form(w, H, args.j, args.x)
-        rows.append(
-            {
-                "form": "numerator",
-                "j": args.j,
-                "direct_sum": num.direct_sum,
-                "form_value": num.form_value,
-                "asymptotic": num.asymptotic,
-            }
-        )
+        evals = form_pair(w, H, args.j, args.x)
+    else:
+        evals = (denominator_form(w, H, args.x),)
+    rows = [
+        {
+            "form": "denominator" if ev.j is None else "numerator",
+            "j": ev.j,
+            "direct_sum": ev.direct_sum,
+            "form_value": ev.form_value,
+            "asymptotic": ev.asymptotic,
+        }
+        for ev in evals
+    ]
     meta = _meta(args, offsets=str(H), x=args.x, R=R, r=args.r, j=args.j)
     meta["theta"] = math.log(R) / math.log(args.x)
     return ["form", "j", "direct_sum", "form_value", "asymptotic"], rows, meta

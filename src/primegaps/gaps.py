@@ -154,8 +154,17 @@ def _counts_in_intervals(cum: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _indicator_cumsum(ind: np.ndarray) -> np.ndarray:
     # int32 keeps the table at 4 bytes/entry; counts stay far below 2^31
-    # for any range the package will sieve
-    return np.cumsum(ind, dtype=np.int32)
+    # for any range the package will sieve.  numpy's cumsum of a bool
+    # array makes a temporary as large as its result, so it runs one
+    # _CHUNK piece at a time, carrying the count forward.
+    cum = np.empty(len(ind), dtype=np.int32)
+    carry = 0
+    for lo in range(0, len(ind), _CHUNK):
+        piece = cum[lo : lo + _CHUNK]
+        np.cumsum(ind[lo : lo + _CHUNK], dtype=np.int32, out=piece)
+        piece += carry
+        carry = int(piece[-1])
+    return cum
 
 
 def _exact_interval_mean(cum: np.ndarray, x: int) -> float:
@@ -168,7 +177,7 @@ def _exact_interval_mean(cum: np.ndarray, x: int) -> float:
     return total / (x + 1)
 
 
-_CHUNK = 1 << 22
+_CHUNK = 1 << 20
 
 
 def interval_counts_from_indicator(

@@ -162,16 +162,27 @@ def _divisor_residues(d: int, H: OffsetTuple) -> np.ndarray:
     return np.flatnonzero(prodmod == 0)
 
 
+# The weight profile takes its strided adds one block of this many float64s
+# (1 MiB) at a time, so the block stays in cache across every divisor.
+_PROFILE_BLOCK = 1 << 17
+
+
 def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> np.ndarray:
     """S[n - x] = sum of lambda_d over d dividing (n+h_1)...(n+h_k).
 
     Each n lies in one class mod d, so it receives lambda_d at most once
-    per d, in ascending d: the same float sum as the per-n reference
-    detector_a in tests/test_gpy.py."""
+    per d, in ascending d within every block: the same float sum as the
+    per-n reference detector_a in tests/test_gpy.py."""
+    adds = [
+        (d, w.lam[d], (r - x) % d)
+        for d in w.support
+        for r in _divisor_residues(d, H).tolist()
+    ]
     S = np.zeros(x + 1, dtype=np.float64)
-    for d in w.support:
-        for r in _divisor_residues(d, H).tolist():
-            S[(r - x) % d :: d] += w.lam[d]
+    for lo in range(0, x + 1, _PROFILE_BLOCK):
+        block = S[lo : lo + _PROFILE_BLOCK]
+        for d, lam, first in adds:
+            block[(first - lo) % d :: d] += lam
     return S
 
 
@@ -199,13 +210,7 @@ def denominator_form(w: WeightScheme, H: OffsetTuple, x: int) -> FormEvaluation:
     asymptotic is x/(log R)^k * S(H) * integral_0^1 y^(k-1)/(k-1)! *
     P^(k)(1-y)^2 dy.
     """
-    require(x >= 4, "x too small")
-    require_level(w.R, x)
-    S = _weight_profile(w, H, x)
-    direct = float(np.square(S, out=S).sum())
-    form_value = x * _pair_sum(w, lambda D: f_of(D, H), lambda D: D)
-    asym = _asymptotic(w, H, x, 0)
-    return FormEvaluation(direct, form_value, asym, x, w.R, H)
+    return _denominator(w, H, x, _checked_profile(w, H, x))
 
 
 def numerator_form(w: WeightScheme, H: OffsetTuple, j: int, x: int) -> FormEvaluation:
@@ -217,13 +222,41 @@ def numerator_form(w: WeightScheme, H: OffsetTuple, j: int, x: int) -> FormEvalu
     y^(k-2)/(k-2)! P^(k-1)(1-y)^2 dy.
     """
     require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
+    return _numerator(w, H, j, x, _checked_profile(w, H, x))
+
+
+def form_pair(
+    w: WeightScheme, H: OffsetTuple, j: int, x: int
+) -> tuple[FormEvaluation, FormEvaluation]:
+    """(denominator_form(w, H, x), numerator_form(w, H, j, x)), equal to
+    the two calls but with the weight profile built once."""
+    require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
+    S = _checked_profile(w, H, x)
+    # the numerator reads S before the denominator squares it in place
+    num = _numerator(w, H, j, x, S)
+    return _denominator(w, H, x, S), num
+
+
+def _checked_profile(w: WeightScheme, H: OffsetTuple, x: int) -> np.ndarray:
     require(x >= 4, "x too small")
     require_level(w.R, x)
+    return _weight_profile(w, H, x)
+
+
+def _denominator(w: WeightScheme, H: OffsetTuple, x: int, S: np.ndarray) -> FormEvaluation:
+    direct = float(np.square(S, out=S).sum())
+    form_value = x * _pair_sum(w, lambda D: f_of(D, H), lambda D: D)
+    asym = _asymptotic(w, H, x, 0)
+    return FormEvaluation(direct, form_value, asym, x, w.R, H)
+
+
+def _numerator(
+    w: WeightScheme, H: OffsetTuple, j: int, x: int, S: np.ndarray
+) -> FormEvaluation:
     h_j = H.offsets[j - 1]
-    S = _weight_profile(w, H, x)
     pmask = prime_indicator(x + h_j, 2 * x + h_j + 1)
     sel = S[pmask]
-    direct = float((sel * sel).sum())
+    direct = float(np.square(sel, out=sel).sum())
     form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
     asym = _asymptotic(w, H, x, 1)
     return FormEvaluation(direct, form_value, asym, x, w.R, H, j=j)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class SieveSegment:
         return out
 
 
-@dataclass(frozen=True)
-class PrimeGap:
+class PrimeGap(NamedTuple):
     """A prime p, its successor, and the gap normalized by log p."""
 
     p: int
@@ -305,15 +304,16 @@ def iter_gaps(x_lo: int, x_hi: int) -> Iterator[PrimeGap]:
     require(x_lo >= 2, "x_lo must be at least 2")
     if x_hi <= x_lo:
         return
+    log = math.log
     prev: int | None = None
     for seg in iter_segments(x_lo, x_hi):
         for p in seg.primes().tolist():
             if prev is not None:
-                yield PrimeGap(prev, p, p - prev, (p - prev) / math.log(prev))
+                yield PrimeGap(prev, p, p - prev, (p - prev) / log(prev))
             prev = p
     if prev is not None:
         q = next_prime(prev)
-        yield PrimeGap(prev, q, q - prev, (q - prev) / math.log(prev))
+        yield PrimeGap(prev, q, q - prev, (q - prev) / log(prev))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -136,18 +137,58 @@ def singular_series(H: OffsetTuple, L: int | None = None) -> SingularSeriesValue
     ok, witness = is_admissible(H)
     if not ok:
         return SingularSeriesValue(0.0, L, 0.0, True, witness)
-    if k == 1:
-        # every factor is (1 - 1/ell)(1 - 1/ell)^-1 = 1 exactly
-        return SingularSeriesValue(1.0, L, 0.0, False, None)
+    _, values = next(_series_blocks([H.offsets], k, L))
+    # the k = 1 product is exactly 1, so nothing is truncated
+    tail = k * (k + 1) / L if k > 1 else 0.0
+    return SingularSeriesValue(float(values[0]), L, tail, False, None)
+
+
+# One block of the series kernel fills a factor matrix of about this many
+# float64 cells (16 MiB), whatever L is.
+_SERIES_CELLS = 1 << 21
+
+
+def _series_blocks(
+    offset_tuples: Iterable[tuple[int, ...]], k: int, L: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Truncated S over the primes ell <= L for a stream of k-offset tuples.
+
+    Yields (T, values) per block: T stacks the block's tuples as an (n, k)
+    int64 array and values[i] is the product for row i.  The caller
+    guarantees L >= max(h_k, 2k) for every tuple.  A prime beyond a tuple's
+    span sees all k residues, so only the primes up to max(span, k) get
+    residue work; every larger prime takes the shared factor
+    (1 - k/ell)(1 - 1/ell)^(-k).  A tuple covering all classes mod some
+    ell <= k gets 0.0 without a product.  Each tuple's factors fill one
+    column of a (pi(L), n) matrix in ascending ell, and prod(axis=0) folds
+    every column from the top, so each value is the same left-to-right
+    float product whatever block the tuple lands in.
+    """
     primes = primes_upto(L)
-    offs = np.array(H.offsets, dtype=np.int64)
-    res = np.sort(offs[:, None] % primes[None, :], axis=0)
-    nu_arr = 1 + (np.diff(res, axis=0) != 0).sum(axis=0)
     ell = primes.astype(np.float64)
-    factors = (1.0 - nu_arr / ell) * (1.0 - 1.0 / ell) ** (-k)
-    value = float(np.prod(factors))
-    tail = k * (k + 1) / L
-    return SingularSeriesValue(value, L, tail, False, None)
+    power = (1.0 - 1.0 / ell) ** (-k)
+    shared = (1.0 - k / ell) * power
+    n_small_k = int(np.searchsorted(primes, k, side="right"))
+    rows = max(1, _SERIES_CELLS // len(primes))
+    stream = iter(offset_tuples)
+    while block := list(itertools.islice(stream, rows)):
+        T = np.array(block, dtype=np.int64)
+        if k == 1:
+            # every factor is (1 - 1/ell)(1 - 1/ell)^-1 = 1 exactly
+            yield T, np.ones(len(T))
+            continue
+        top = max(int((T[:, -1] - T[:, 0]).max()), k)
+        s = int(np.searchsorted(primes, top, side="right"))
+        res = np.sort(T[None] % primes[:s, None, None], axis=2)
+        nu_arr = 1 + (np.diff(res, axis=2) != 0).sum(axis=2)
+        admissible = (nu_arr[:n_small_k] < primes[:n_small_k, None]).all(axis=0)
+        nu_arr = nu_arr[:, admissible]
+        factors = np.empty((len(primes), nu_arr.shape[1]))
+        factors[:s] = (1.0 - nu_arr / ell[:s, None]) * power[:s, None]
+        factors[s:] = shared[s:, None]
+        values = np.zeros(len(T))
+        values[admissible] = factors.prod(axis=0)
+        yield T, values
 
 
 class HLCount(NamedTuple):
@@ -184,7 +225,8 @@ def gallagher_average(
     rhs is binomial(h, k); the ratio tends to 1 as h grows.  S is
     translation invariant, so each translate (0, t_1, ..., t_{k-1}) is
     evaluated once and weighted by its h - t_{k-1} placements in [1, h]
-    (h placements when k = 1).
+    (h placements when k = 1).  The translates stream through the series
+    kernel in blocks.
     """
     require(k >= 1, "k must be at least 1")
     require(h >= k, "h must be at least k")
@@ -198,6 +240,8 @@ def gallagher_average(
         )
     translates = ((0, *rest) for rest in itertools.combinations(range(1, h), k - 1))
     lhs = math.fsum(
-        (h - t[-1]) * singular_series(OffsetTuple(t), L).value for t in translates
+        term
+        for T, values in _series_blocks(translates, k, L)
+        for term in ((h - T[:, -1]) * values).tolist()
     )
     return GallagherAverage(lhs, rhs, lhs / rhs)

@@ -27,7 +27,8 @@ from primegaps import (
     weighted_square_integral,
 )
 from primegaps.errors import LevelTooLargeError
-from primegaps.gpy import _weight_profile
+from primegaps import cli, gpy
+from primegaps.gpy import _PROFILE_BLOCK, _divisor_residues, _weight_profile, form_pair
 
 from conftest import naive_factorize
 
@@ -248,6 +249,46 @@ def test_weight_profile_squares_equal_detector(offsets, r, R, x):
     assert np.array_equal(profile**2, expected)
 
 
+def unblocked_profile(w, H, x):
+    """Reference profile: one strided add over all of [x, 2x] per (d, r)."""
+    S = np.zeros(x + 1, dtype=np.float64)
+    for d in w.support:
+        for r in _divisor_residues(d, H).tolist():
+            S[(r - x) % d :: d] += w.lam[d]
+    return S
+
+
+@pytest.mark.parametrize("offsets", [(0, 2), (0, 4, 6), (0, 2, 6, 8, 12)])
+@pytest.mark.parametrize("r", [0, 1])
+def test_blocked_profile_matches_unblocked(offsets, r):
+    H = OffsetTuple(offsets)
+    B = _PROFILE_BLOCK
+    for x in (B - 1, B, B + 1, 3 * B + 5):
+        w = build_weights(PolynomialSpec.power(H.k, r), math.isqrt(math.isqrt(x)))
+        got = _weight_profile(w, H, x)
+        assert got.tobytes() == unblocked_profile(w, H, x).tobytes(), x
+
+
+def test_form_pair_equals_forms_alone():
+    for offsets, r, R, x, j in [((0, 2), 0, 9, 5000, 2), ((0, 4, 6), 1, 17, 100_003, 3)]:
+        H = OffsetTuple(offsets)
+        w = build_weights(PolynomialSpec.power(H.k, r), R)
+        assert form_pair(w, H, j, x) == (denominator_form(w, H, x), numerator_form(w, H, j, x))
+
+
+@pytest.mark.parametrize("offsets", ["0", "0,2", "0,4,6"])
+def test_gpy_experiment_builds_one_profile(monkeypatch, offsets):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _weight_profile(*args)
+
+    monkeypatch.setattr(gpy, "_weight_profile", counted)
+    assert cli.main(["gpy-experiment", "--offsets", offsets, "--x", "20000"]) == 0
+    assert calls == [20000]
+
+
 def test_numerator_below_denominator():
     H = OffsetTuple((0, 2))
     w = build_weights(PolynomialSpec.power(2, 1), 9)
@@ -264,6 +305,8 @@ def test_level_too_large():
         denominator_form(w, H, 1600)
     with pytest.raises(LevelTooLargeError):
         numerator_form(w, H, 1, 1600)
+    with pytest.raises(LevelTooLargeError):
+        form_pair(w, H, 1, 1600)
 
 
 def test_numerator_j_validation():
@@ -273,6 +316,9 @@ def test_numerator_j_validation():
         numerator_form(w, H, 0, 10**4)
     with pytest.raises(PreconditionError):
         numerator_form(w, H, 3, 10**4)
+    for j in (0, 3):
+        with pytest.raises(PreconditionError):
+            form_pair(w, H, j, 10**4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegaps import (
     BudgetExceededError,
     OffsetTuple,
     PreconditionError,
+    SingularSeriesValue,
     gallagher_average,
     hl_count,
     is_admissible,
@@ -17,6 +19,7 @@ from primegaps import (
     singular_series,
 )
 from primegaps.sieve import primes_upto
+from primegaps.tuples import default_truncation
 
 from conftest import trial_division_is_prime
 
@@ -128,6 +131,40 @@ def test_singular_series_truncation_consistency_random(offsets, L):
     assert abs(hi.value - lo.value) / lo.value <= math.exp(lo.tail_bound) - 1
 
 
+def per_tuple_series(H: OffsetTuple, L: int) -> SingularSeriesValue:
+    """Reference: one tuple's Euler factors over every prime <= L, multiplied
+    by a single np.prod, with the witness found by brute force."""
+    k = H.k
+    for ell in primes_upto(k).tolist():
+        if len({h % ell for h in H.offsets}) == ell:
+            return SingularSeriesValue(0.0, L, 0.0, True, ell)
+    if k == 1:
+        return SingularSeriesValue(1.0, L, 0.0, False, None)
+    primes = primes_upto(L)
+    offs = np.array(H.offsets, dtype=np.int64)
+    res = np.sort(offs[:, None] % primes[None, :], axis=0)
+    nu_arr = 1 + (np.diff(res, axis=0) != 0).sum(axis=0)
+    ell = primes.astype(np.float64)
+    factors = (1.0 - nu_arr / ell) * (1.0 - 1.0 / ell) ** (-k)
+    return SingularSeriesValue(float(np.prod(factors)), L, k * (k + 1) / L, False, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=3000),
+)
+@example({0, 1}, 0)                  # covers both classes mod 2
+@example({0, 2, 4}, 0)               # covers every class mod 3
+@example({5, 7, 11}, 40)             # admissible, not starting at 0
+@example({3, 5, 7, 9, 11, 13}, 0)    # inadmissible mod 3 and mod 5
+@example({42}, 7)
+def test_singular_series_matches_per_tuple_product(offsets, extra):
+    H = OffsetTuple(tuple(sorted(offsets)))
+    L = max(H.offsets[-1], 2 * H.k) + extra
+    assert singular_series(H, L) == per_tuple_series(H, L)
+
+
 def test_singular_series_prime_tuple_nonzero():
     ss = singular_series(OffsetTuple((7, 11, 13, 17, 19, 23)))
     assert not ss.is_zero and ss.value > 0
@@ -207,3 +244,13 @@ def test_gallagher_budget():
 def test_gallagher_L_too_small():
     with pytest.raises(PreconditionError):
         gallagher_average(2, 100, 50)
+
+
+@pytest.mark.parametrize("k, h, L", [(3, 100, None), (2, 1000, 10**4), (4, 60, None), (1, 50, None)])
+def test_gallagher_lhs_matches_per_translate_series(k, h, L):
+    L = default_truncation(h, k) if L is None else L
+    translates = ((0, *rest) for rest in itertools.combinations(range(1, h), k - 1))
+    reference = math.fsum(
+        (h - t[-1]) * per_tuple_series(OffsetTuple(t), L).value for t in translates
+    )
+    assert gallagher_average(k, h, L).lhs == reference
