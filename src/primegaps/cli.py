@@ -414,7 +414,7 @@ def _cmd_bv_scan(args):
             require_checkpoints(args.x, 2 * args.checkpoints)
         except PreconditionError as exc:
             raise PreconditionError(f"--sensitivity doubles the grid: {exc}") from None
-    res = bv_scan(args.x, args.q_max, args.checkpoints)
+    res = bv_scan(args.x, args.q_max, args.checkpoints, args.threads)
     rows = [
         {
             "q": q,
@@ -435,7 +435,7 @@ def _cmd_bv_scan(args):
         "scan above is evaluated"
     )
     if args.sensitivity:
-        res2 = bv_scan(args.x, args.q_max, 2 * args.checkpoints)
+        res2 = bv_scan(args.x, args.q_max, 2 * args.checkpoints, args.threads)
         meta["sensitivity_total_2x_checkpoints"] = res2.total
         meta["sensitivity_delta"] = res2.total - res.total
     return ["q", "max_abs_error", "checkpoint_argmax_y"], rows, meta
@@ -446,7 +446,7 @@ def _cmd_montgomery(args):
     q_hi = args.q_max if args.q_max is not None else args.q_min
     # bounds the moduli count too, since every modulus is at least 1
     _guard(args.force, q_hi <= MAX_BV_MODULI, "q_max beyond budget")
-    ratios = montgomery_ratios(args.x, args.q_min, q_hi, args.eps)
+    ratios = montgomery_ratios(args.x, args.q_min, q_hi, args.eps, args.threads)
     rows = [{"q": q, "ratio": ratio} for q, ratio in ratios.items()]
     best = max(rows, key=lambda row: row["ratio"])
     meta = _meta(args, x=args.x, q_min=args.q_min, q_max=q_hi, eps=args.eps)
@@ -476,8 +476,9 @@ def _add_common(sp: argparse.ArgumentParser, seeded: bool = False) -> None:
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="accepted for compatibility; no subcommand uses it, "
-                         "so output is identical at any value")
+                    help="worker threads for the modulus scans of bv-scan and "
+                         "montgomery (other subcommands accept and ignore it); "
+                         "output is identical at any value >= 1")
     sp.add_argument("--force", action="store_true",
                     help="override the size guardrails")
     if seeded:
@@ -581,6 +582,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        require(args.threads >= 1, f"--threads must be at least 1, got {args.threads}")
         columns, rows, meta = _HANDLERS[args.cmd](args)
         emit(columns, rows, meta, args.format, _resolve_out(args.out))
         return 0

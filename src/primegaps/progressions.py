@@ -14,7 +14,10 @@ desk scale, not a certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -88,8 +91,24 @@ class ErrorTable(NamedTuple):
     max_abs_error: float
 
 
-def _class_counts(primes: np.ndarray, ends, q_lo: int, q_hi: int):
-    """Yield (q, C) once for each modulus q in [q_lo, q_hi], in no set order.
+def _top_counts(primes: np.ndarray, ends, top: int) -> np.ndarray:
+    """The (len(ends), top) matrix C with C[j, a] the count of primes in
+    primes[:ends[j]] that are = a (mod top).
+
+    The primes are reduced one checkpoint slice primes[ends[j-1]:ends[j]]
+    at a time, so the residues held at once are one slice, never the
+    whole prefix."""
+    C = np.empty((len(ends), top), dtype=np.int64)
+    start = 0
+    for j, end in enumerate(ends):
+        C[j] = np.bincount(primes[start:end] % top, minlength=top)
+        start = end
+    return np.cumsum(C, axis=0, out=C)
+
+
+def _class_counts(primes: np.ndarray, ends, q_lo: int, q_hi: int, threads: int = 1):
+    """Yield (q, C) once for each modulus q in [q_lo, q_hi]: the tops
+    q_hi, q_hi - 1, ... in descending order, each followed by its folds.
 
     C is the (len(ends), q) count matrix: C[j, a] counts the primes in
     primes[:ends[j]] that are = a (mod q).  The primes are reduced only
@@ -98,17 +117,32 @@ def _class_counts(primes: np.ndarray, ends, q_lo: int, q_hi: int):
     class a mod q is the union of the classes a and a + q mod 2q, each
     chain top, top/2, ... is walked by folding C[:, :q] + C[:, q:] while
     the modulus is even and its half stays >= q_lo.  The counts are exact.
+
+    The tops are reduced on a pool of min(threads, cpu count, tops)
+    worker threads, at most two per worker in flight; the results are
+    taken in the fixed descending order above, so the yielded sequence
+    does not depend on threads.  Closing the generator early finishes the
+    tops already submitted and joins the workers.
     """
-    for top in range(q_hi, max(q_hi // 2, q_lo - 1), -1):
-        r = primes[: ends[-1]] % top
-        # row j: counts per class of the primes up to ends[j]
-        C = np.cumsum([np.bincount(s, minlength=top) for s in np.split(r, ends[:-1])], axis=0)
-        q = top
-        yield q, C
-        while q % 2 == 0 and q // 2 >= q_lo:
-            q //= 2
-            C = C[:, :q] + C[:, q:]
+    # imported here, not with the module: only the scans need it, and it
+    # would add its import time to the start-up of every subcommand
+    from concurrent.futures import ThreadPoolExecutor
+
+    require(threads >= 1, "threads must be at least 1")
+    tops = range(q_hi, max(q_hi // 2, q_lo - 1), -1)
+    workers = min(threads, os.cpu_count() or 1, len(tops))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = (pool.submit(_top_counts, primes, ends, top) for top in tops)
+        pending = deque(itertools.islice(futures, 2 * workers))
+        while pending:
+            C = pending.popleft().result()
+            pending.extend(itertools.islice(futures, 1))
+            q = C.shape[1]
             yield q, C
+            while q % 2 == 0 and q // 2 >= q_lo:
+                q //= 2
+                C = C[:, :q] + C[:, q:]
+                yield q, C
 
 
 def error_table(x: int, q: int) -> ErrorTable:
@@ -170,13 +204,14 @@ def bv_checkpoints(x: int, n_checkpoints: int) -> np.ndarray:
     return x * np.exp2(-js / 8.0)
 
 
-def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
+def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64, threads: int = 1) -> BVScanResult:
     """Per-modulus maxima of |E(y; q)| on a checkpoint grid, summed.
 
     One sieve pass provides all primes.  The primes between consecutive
     checkpoints are bincounted by class and accumulated, mod q only for
-    q > Q_max/2; every smaller modulus folds the counts of 2q.
-    Deterministic: identical parameters give bit-identical results.
+    q > Q_max/2, on up to `threads` worker threads; every smaller modulus
+    folds the counts of 2q.  Deterministic: identical parameters give
+    bit-identical results, at any number of threads.
     """
     require(x >= 100, "x must be at least 100")
     require(1 <= Q_max <= x, "need 1 <= Q_max <= x")
@@ -187,7 +222,7 @@ def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
     li_vals = np.array([log_integral(float(y)) for y in cps])
     per_q: dict[int, float] = {}
     argmax: dict[int, float] = {}
-    for q, C in _class_counts(primes, ends, 1, Q_max):
+    for q, C in _class_counts(primes, ends, 1, Q_max, threads):
         reduced = _reduced_residues(q)
         errs = np.abs(C[:, reduced] - li_vals[:, None] / len(reduced))
         row_max = errs.max(axis=1)
@@ -211,13 +246,14 @@ def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64) -> BVScanResult:
     )
 
 
-def montgomery_ratios(x: int, q_min: int, q_max: int, eps: float) -> dict[int, float]:
+def montgomery_ratios(x: int, q_min: int, q_max: int, eps: float,
+                      threads: int = 1) -> dict[int, float]:
     """Observed constants E(x; q) * sqrt(q) / x^(1/2 + eps), q_min <= q <= q_max.
 
     The conjectured square-root-of-q savings says these stay bounded for
     all q <= x once eps > 0.  E(x; q) is error_table(x, q).max_abs_error,
-    computed from the folded class counts without per-class records; the
-    keys ascend."""
+    computed from the folded class counts without per-class records, on
+    up to `threads` worker threads; the keys ascend."""
     require(x >= 2, "x must be at least 2")
     require(q_min >= 1, "q_min must be positive")
     require(q_min <= q_max, f"empty modulus range: q_min {q_min} > q_max {q_max}")
@@ -226,7 +262,7 @@ def montgomery_ratios(x: int, q_min: int, q_max: int, eps: float) -> dict[int, f
     primes = primes_upto(x)
     li_x = log_integral(x)
     ratios = {}
-    for q, C in _class_counts(primes, [len(primes)], q_min, q_max):
+    for q, C in _class_counts(primes, [len(primes)], q_min, q_max, threads):
         reduced = _reduced_residues(q)
         E = float(np.abs(C[0, reduced] - li_x / len(reduced)).max())
         ratios[q] = E * math.sqrt(q) / x ** (0.5 + eps)

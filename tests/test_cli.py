@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent import futures
 
 import pytest
 
@@ -73,11 +74,68 @@ def test_determinism_all_subcommands(fmt):
 
 
 def test_output_independent_of_threads():
-    for cmd in ("gaps", "cramer", "bv-scan"):
+    for cmd in ("gaps", "cramer", "bv-scan", "montgomery", "ap-table"):
         base = [cmd, *FAST_ARGS[cmd]]
         _, out1 = run_cli(base + ["--threads", "1"])
         _, out4 = run_cli(base + ["--threads", "4"])
         assert out1 == out4
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exits_2_on_every_subcommand(threads, capsys):
+    for cmd in ALL_SUBCOMMANDS:
+        code = main([cmd, *FAST_ARGS[cmd], "--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 2, cmd
+        assert captured.out == "", cmd
+        assert "invalid arguments: --threads must be at least 1" in captured.err, cmd
+
+
+def _recording_pool(monkeypatch):
+    """Replace the scan's thread pool by one that records the worker count it
+    is asked for and runs each task at once, on the calling thread."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    return asked
+
+
+def test_thread_pool_bounded_by_tops_and_cores(monkeypatch):
+    serial_montgomery = run_cli(["montgomery", "--x", "5000", "--q-min", "5", "--q-max", "5"])
+    serial_bv = run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "1"])
+    asked = _recording_pool(monkeypatch)
+    # one modulus is one top
+    assert run_cli(["montgomery", "--x", "5000", "--q-min", "5", "--q-max", "5",
+                    "--threads", "10000"]) == serial_montgomery
+    assert asked == [1]
+    # q in (10, 20] are the tops of q <= 20
+    asked.clear()
+    assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "10000"]) == serial_bv
+    assert asked == [min(os.cpu_count() or 1, 10)]
+    # with cores to spare, the tops bound the pool of every scan
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    asked.clear()
+    assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--checkpoints", "8",
+                    "--sensitivity", "--threads", "10000"])[0] == 0
+    assert asked == [10, 10]
+    asked.clear()
+    assert run_cli(["montgomery", *FAST_ARGS["montgomery"], "--threads", "10000"])[0] == 0
+    assert asked == [6]
 
 
 def test_gpy_ratio_headline():

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from primegaps import (
     pi_ap,
     prime_count,
 )
-from primegaps.progressions import bv_checkpoints
+from primegaps.progressions import _class_counts, bv_checkpoints
 from primegaps.sieve import primes_upto
 
 from conftest import simpson_log_integral, trial_division_primes
@@ -238,13 +241,13 @@ def _per_q_scan(x, Q, n_checkpoints):
     return per_q, argmax, math.fsum(per_q.values())
 
 
-def _check_fold(x, Q, n_checkpoints, q_min, q_max, eps):
-    res = bv_scan(x, Q, n_checkpoints)
+def _check_fold(x, Q, n_checkpoints, q_min, q_max, eps, threads=1):
+    res = bv_scan(x, Q, n_checkpoints, threads)
     per_q, argmax, total = _per_q_scan(x, Q, n_checkpoints)
     assert res.per_q == per_q
     assert res.argmax_y == argmax
     assert res.total == total
-    ratios = montgomery_ratios(x, q_min, q_max, eps)
+    ratios = montgomery_ratios(x, q_min, q_max, eps, threads)
     assert list(ratios) == list(range(q_min, q_max + 1))
     for q, ratio in ratios.items():
         E = error_table(x, q).max_abs_error
@@ -263,10 +266,11 @@ def _fold_cases(draw):
     return x, Q, n_checkpoints, q_min, q_max, eps
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @settings(max_examples=50, deadline=None)
 @given(_fold_cases())
-def test_folded_counts_match_per_q_reduction(case):
-    _check_fold(*case)
+def test_folded_counts_match_per_q_reduction(threads, case):
+    _check_fold(*case, threads=threads)
 
 
 @pytest.mark.parametrize("case", [
@@ -278,6 +282,50 @@ def test_folded_counts_match_per_q_reduction(case):
 ])
 def test_folded_counts_edge_cases(case):
     _check_fold(*case)
+
+
+@pytest.mark.parametrize("x, ends, q_lo, q_hi", [
+    (1000, None, 1, 1),          # Q = 1: one top
+    (20000, None, 64, 64),       # q_lo == q_hi: one top, no folds
+    (20000, None, 1, 300),       # every chain walked to q = 1
+    (150, None, 1, 150),         # Q = x
+    (20000, [0, 0, 5], 3, 40),   # empty leading slices
+])
+def test_class_counts_independent_of_threads(monkeypatch, x, ends, q_lo, q_hi):
+    # more workers than this host may have cores, switching threads often
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    primes = primes_upto(x)
+    if ends is None:
+        ends = np.searchsorted(primes, bv_checkpoints(x, 8), side="right")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial = list(_class_counts(primes, ends, q_lo, q_hi, threads=1))
+        pooled = list(_class_counts(primes, ends, q_lo, q_hi, threads=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [q for q, _ in serial] == [q for q, _ in pooled]
+    assert sorted(q for q, _ in serial) == list(range(q_lo, q_hi + 1))
+    for (q, C), (_, D) in zip(serial, pooled):
+        assert C.shape == (len(ends), q)
+        assert np.array_equal(C, D), q
+
+
+def test_class_counts_rejects_no_threads():
+    with pytest.raises(PreconditionError):
+        next(_class_counts(primes_upto(100), [25], 1, 10, threads=0))
+
+
+def test_scans_leave_no_threads_running():
+    before = threading.active_count()
+    error_table(10**4, 30)
+    bv_scan(10**4, 50, 8, threads=2)
+    montgomery_ratios(10**4, 2, 50, 0.0, threads=2)
+    # a generator closed after its first result joins its workers too
+    counts = _class_counts(primes_upto(10**4), [1229], 1, 50, threads=2)
+    next(counts)
+    counts.close()
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
