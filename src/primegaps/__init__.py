@@ -34,7 +34,6 @@ from .gpy import (
     WeightScheme,
     best_power_r,
     build_weights,
-    denominator_form,
     exact_double_count,
     f_of,
     g_of,
@@ -42,7 +41,7 @@ from .gpy import (
     gpy_ratio_general,
     mobius,
     mobius_log_identity,
-    numerator_form,
+    quadratic_forms,
     unfortunate_inequality,
 )
 from .polys import PolynomialSpec, RationalPoly, weighted_square_integral
@@ -57,10 +56,8 @@ from .progressions import (
     pi_ap,
 )
 from .sieve import (
-    PrimeGap,
     factorize,
     is_prime,
-    iter_gaps,
     iter_segments,
     next_prime,
     prime_count,

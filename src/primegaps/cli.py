@@ -38,10 +38,9 @@ from .gpy import (
     RationalPoly,
     best_power_r,
     build_weights,
-    denominator_form,
-    form_pair,
     gpy_ratio,
     gpy_ratio_general,
+    quadratic_forms,
     require_level,
     unfortunate_inequality,
 )
@@ -79,6 +78,14 @@ def parse_exact_int(text: str) -> int:
     if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an exact integer: {text!r}")
     return int(d)
+
+
+def parse_seed(text: str) -> int:
+    """RNG seed argument: an exact integer, refused when negative."""
+    seed = parse_exact_int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative: {text!r}")
+    return seed
 
 
 def fmt_value(v) -> str:
@@ -340,10 +347,6 @@ def _cmd_gpy_experiment(args):
     require_level(R, args.x)
     P = PolynomialSpec.power(H.k, args.r)
     w = build_weights(P, R)
-    if H.k >= 2:
-        evals = form_pair(w, H, args.j, args.x)
-    else:
-        evals = (denominator_form(w, H, args.x),)
     rows = [
         {
             "form": "denominator" if ev.j is None else "numerator",
@@ -352,7 +355,7 @@ def _cmd_gpy_experiment(args):
             "form_value": ev.form_value,
             "asymptotic": ev.asymptotic,
         }
-        for ev in evals
+        for ev in quadratic_forms(w, H, args.x, args.j)
     ]
     meta = _meta(args, offsets=str(H), x=args.x, R=R, r=args.r, j=args.j)
     meta["theta"] = math.log(R) / math.log(args.x)
@@ -482,7 +485,7 @@ def _add_common(sp: argparse.ArgumentParser, seeded: bool = False) -> None:
     sp.add_argument("--force", action="store_true",
                     help="override the size guardrails")
     if seeded:
-        sp.add_argument("--seed", type=parse_exact_int, default=DEFAULT_SEED,
+        sp.add_argument("--seed", type=parse_seed, default=DEFAULT_SEED,
                         help=f"RNG seed (default {DEFAULT_SEED}, never the clock)")
 
 

@@ -239,7 +239,6 @@ class CramerResult:
     Bernoulli(1/log n) draw from the seeded generator.
     """
 
-    config: CramerConfig
     indicators: np.ndarray
     simulated_count: int
     expected_count: float
@@ -279,7 +278,6 @@ def cramer_simulate(cfg: CramerConfig) -> CramerResult:
     else:
         hist = GapHistogram(edges, np.zeros(len(edges), dtype=np.int64), 0, 2, n)
     return CramerResult(
-        config=cfg,
         indicators=ind,
         simulated_count=int(len(positions)),
         expected_count=expected,

@@ -136,7 +136,8 @@ def build_weights(P: PolynomialSpec, R: int) -> WeightScheme:
 class FormEvaluation:
     """One sieve-sum evaluated three ways.
 
-    direct_sum runs over every integer n in [x, 2x] (inclusive);
+    direct_sum runs over every integer n in [x, 2x] (inclusive), or for
+    the numerator (j set) over those with n + h_j prime;
     form_value is the quadratic-form main term; asymptotic is the
     beta-integral prediction (NaN when R < 2, and for the numerator form
     when P.k < 2).
@@ -147,9 +148,6 @@ class FormEvaluation:
     direct_sum: float
     form_value: float
     asymptotic: float
-    x: int
-    R: int
-    H: OffsetTuple
     j: int | None = None
 
 
@@ -203,63 +201,35 @@ def _pair_sum(w: WeightScheme, num, den) -> float:
     return math.fsum(terms)
 
 
-def denominator_form(w: WeightScheme, H: OffsetTuple, x: int) -> FormEvaluation:
-    """Sum of a(n) over x <= n <= 2x, its quadratic form, and asymptotic.
+def quadratic_forms(
+    w: WeightScheme, H: OffsetTuple, x: int, j: int = 1
+) -> tuple[FormEvaluation, ...]:
+    """Sums of a(n) over x <= n <= 2x, their quadratic forms and asymptotics.
 
-    form_value = x * sum f([d1,d2])/[d1,d2] lambda_d1 lambda_d2; the
+    Returns (denominator,) for k = 1 and (denominator, numerator) for
+    k >= 2, all from one weight profile.  The denominator runs over every
+    n: form_value = x * sum f([d1,d2])/[d1,d2] lambda_d1 lambda_d2, and the
     asymptotic is x/(log R)^k * S(H) * integral_0^1 y^(k-1)/(k-1)! *
-    P^(k)(1-y)^2 dy.
+    P^(k)(1-y)^2 dy.  The numerator runs over n with n + h_j prime (j is
+    1-based): form_value = x/log x * sum g([d1,d2])/phi([d1,d2]) lambda
+    lambda, and the asymptotic is x/((log x)(log R)^(k-1)) * S(H) *
+    integral_0^1 y^(k-2)/(k-2)! P^(k-1)(1-y)^2 dy.
     """
-    return _denominator(w, H, x, _checked_profile(w, H, x))
-
-
-def numerator_form(w: WeightScheme, H: OffsetTuple, j: int, x: int) -> FormEvaluation:
-    """Same as denominator_form but over n with n + h_j prime (j is
-    1-based).
-
-    form_value = x/log x * sum g([d1,d2])/phi([d1,d2]) lambda lambda; the
-    asymptotic is x/((log x)(log R)^(k-1)) * S(H) * integral_0^1
-    y^(k-2)/(k-2)! P^(k-1)(1-y)^2 dy.
-    """
-    require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
-    return _numerator(w, H, j, x, _checked_profile(w, H, x))
-
-
-def form_pair(
-    w: WeightScheme, H: OffsetTuple, j: int, x: int
-) -> tuple[FormEvaluation, FormEvaluation]:
-    """(denominator_form(w, H, x), numerator_form(w, H, j, x)), equal to
-    the two calls but with the weight profile built once."""
-    require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
-    S = _checked_profile(w, H, x)
-    # the numerator reads S before the denominator squares it in place
-    num = _numerator(w, H, j, x, S)
-    return _denominator(w, H, x, S), num
-
-
-def _checked_profile(w: WeightScheme, H: OffsetTuple, x: int) -> np.ndarray:
     require(x >= 4, "x too small")
+    require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
     require_level(w.R, x)
-    return _weight_profile(w, H, x)
-
-
-def _denominator(w: WeightScheme, H: OffsetTuple, x: int, S: np.ndarray) -> FormEvaluation:
+    S = _weight_profile(w, H, x)
+    num = ()
+    if H.k >= 2:
+        # the numerator reads S before the denominator squares it in place
+        h_j = H.offsets[j - 1]
+        sel = S[prime_indicator(x + h_j, 2 * x + h_j + 1)]
+        direct = float(np.square(sel, out=sel).sum())
+        form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
+        num = (FormEvaluation(direct, form_value, _asymptotic(w, H, x, 1), j=j),)
     direct = float(np.square(S, out=S).sum())
     form_value = x * _pair_sum(w, lambda D: f_of(D, H), lambda D: D)
-    asym = _asymptotic(w, H, x, 0)
-    return FormEvaluation(direct, form_value, asym, x, w.R, H)
-
-
-def _numerator(
-    w: WeightScheme, H: OffsetTuple, j: int, x: int, S: np.ndarray
-) -> FormEvaluation:
-    h_j = H.offsets[j - 1]
-    pmask = prime_indicator(x + h_j, 2 * x + h_j + 1)
-    sel = S[pmask]
-    direct = float(np.square(sel, out=sel).sum())
-    form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
-    asym = _asymptotic(w, H, x, 1)
-    return FormEvaluation(direct, form_value, asym, x, w.R, H, j=j)
+    return (FormEvaluation(direct, form_value, _asymptotic(w, H, x, 0)),) + num
 
 
 def _asymptotic(w: WeightScheme, H: OffsetTuple, x: int, s: int) -> float:

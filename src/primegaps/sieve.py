@@ -1,7 +1,7 @@
 """Segmented sieve of Eratosthenes and the primality primitives built on it.
 
-Provides exact primality bitmaps over arbitrary 64-bit ranges, prime and
-prime-gap streams, pi(x), and integer factorization helpers.  Everything is
+Provides exact primality bitmaps over arbitrary 64-bit ranges, prime
+streams, pi(x), and integer factorization helpers.  Everything is
 deterministic; counts are exact (no analytic approximations).
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -51,15 +51,6 @@ class SieveSegment:
         if self.lo <= 2 < self.hi:
             out = np.concatenate(([2], out))
         return out
-
-
-class PrimeGap(NamedTuple):
-    """A prime p, its successor, and the gap normalized by log p."""
-
-    p: int
-    p_next: int
-    gap: int
-    normalized: float
 
 
 # ---------------------------------------------------------------------------
@@ -292,28 +283,6 @@ def next_prime(n: int) -> int:
         if is_prime(m):
             return m
         m += 2
-
-
-def iter_gaps(x_lo: int, x_hi: int) -> Iterator[PrimeGap]:
-    """One PrimeGap per prime p in [x_lo, x_hi), in increasing order.
-
-    The successor is the true next prime and may lie beyond x_hi; the last
-    in-range prime's gap is completed by scanning past the range end.
-    The normalized field is gap / log(p) with the natural log.
-    """
-    require(x_lo >= 2, "x_lo must be at least 2")
-    if x_hi <= x_lo:
-        return
-    log = math.log
-    prev: int | None = None
-    for seg in iter_segments(x_lo, x_hi):
-        for p in seg.primes().tolist():
-            if prev is not None:
-                yield PrimeGap(prev, p, p - prev, (p - prev) / log(prev))
-            prev = p
-    if prev is not None:
-        q = next_prime(prev)
-        yield PrimeGap(prev, q, q - prev, (q - prev) / log(prev))
 
 
 # ---------------------------------------------------------------------------

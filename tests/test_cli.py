@@ -191,6 +191,7 @@ def test_precondition_failure_exits_2_without_partial_output(tmp_path, capsys, m
         (["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "200"], "200 checkpoints"),
         (["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "0", "--sensitivity"],
          "at least one checkpoint"),
+        (["gpy-experiment", "--offsets", "0", "--x", "1e4", "--j", "5"], "j must be in [1, 1]"),
     ):
         assert main([*argv, "--out", str(out_file)]) == 2
         assert not out_file.exists()
@@ -317,6 +318,24 @@ def test_json_meta_records_seed_used():
     assert payload["meta"]["seed"] == 77
     code, out = run_cli(["cramer", "--n-max", "1000", "--format", "json"])
     assert json.loads(out)["meta"]["seed"] == 0
+
+
+@pytest.mark.parametrize("argv, handler", [
+    (["cramer", "--n-max", "1000", "--seed", "-1"], "cramer_simulate"),
+    (["intervals", "--x", "1000", "--n-samples", "10", "--seed", "-5"],
+     "interval_count_distribution"),
+], ids=["cramer", "intervals"])
+def test_negative_seed_exits_2_before_any_work(argv, handler, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(f"primegaps.cli.{handler}", refuse)
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "seed must be nonnegative" in err
+    assert "Traceback" not in err
 
 
 def test_emit_empty_rows_header_only(tmp_path):

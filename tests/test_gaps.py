@@ -12,9 +12,10 @@ from primegaps import (
     exponential_bin_mass,
     gap_histogram,
     interval_count_distribution,
-    iter_gaps,
     long_gap_construct,
+    next_prime,
     poisson_unit_pmf,
+    primes_between,
     rankin_bound,
 )
 from primegaps.gaps import default_bin_edges, make_rng
@@ -44,11 +45,13 @@ def test_histogram_fractions_partition():
 
 def test_histogram_conservation_against_iter_gaps():
     hist = gap_histogram(3, 10**5)
-    gaps = list(iter_gaps(3, 10**5))
+    ps = primes_between(3, 10**5).tolist()
+    ps.append(next_prime(ps[-1]))
+    gaps = [(p, q - p) for p, q in zip(ps, ps[1:])]
     assert hist.total == len(gaps)
-    worst = max(gaps, key=lambda g: g.gap / math.log(g.p) ** 2)
-    assert hist.max_gap_over_log_sq == worst.gap / math.log(worst.p) ** 2
-    assert hist.max_gap_at_p == worst.p
+    worst_p, worst_gap = max(gaps, key=lambda g: g[1] / math.log(g[0]) ** 2)
+    assert hist.max_gap_over_log_sq == worst_gap / math.log(worst_p) ** 2
+    assert hist.max_gap_at_p == worst_p
 
 
 def test_histogram_validation():
@@ -75,10 +78,11 @@ MAXIMAL_GAPS = [
 
 
 def test_maximal_gap_records_from_iter_gaps():
+    ps = primes_between(2, 10**7).tolist()
     records = []
-    for g in iter_gaps(2, 10**7):
-        if not records or g.gap > records[-1][0]:
-            records.append((g.gap, g.p))
+    for p, q in zip(ps, ps[1:]):
+        if not records or q - p > records[-1][0]:
+            records.append((q - p, p))
     assert records == MAXIMAL_GAPS
 
 

@@ -14,7 +14,6 @@ from primegaps import (
     RationalPoly,
     best_power_r,
     build_weights,
-    denominator_form,
     exact_double_count,
     f_of,
     g_of,
@@ -22,13 +21,13 @@ from primegaps import (
     gpy_ratio_general,
     mobius,
     mobius_log_identity,
-    numerator_form,
+    quadratic_forms,
     unfortunate_inequality,
     weighted_square_integral,
 )
 from primegaps.errors import LevelTooLargeError
 from primegaps import cli, gpy
-from primegaps.gpy import _PROFILE_BLOCK, _divisor_residues, _weight_profile, form_pair
+from primegaps.gpy import _PROFILE_BLOCK, _divisor_residues, _weight_profile
 
 from conftest import naive_factorize
 
@@ -207,7 +206,7 @@ def test_degenerate_weights_counts_integers():
     w = build_weights(PolynomialSpec.power(2, 0), 1)
     H = OffsetTuple((0, 2))
     x = 500
-    res = denominator_form(w, H, x)
+    res, _ = quadratic_forms(w, H, x)
     assert res.direct_sum == x + 1
     assert res.form_value == x
     assert math.isnan(res.asymptotic)
@@ -227,12 +226,11 @@ def test_forms_match_exact_routes_in_float():
     w = build_weights(PolynomialSpec.power(2, 0), 9)
     x = 10**4
     dc = exact_double_count(w, H, x)
-    den = denominator_form(w, H, x)
-    assert den.direct_sum == pytest.approx(float(dc.per_n), rel=1e-9)
     for j in (1, 2):
+        den, num = quadratic_forms(w, H, x, j)
+        assert den.direct_sum == pytest.approx(float(dc.per_n), rel=1e-9)
         dcn = exact_double_count(w, H, x, j=j)
         assert dcn.per_n == dcn.pair
-        num = numerator_form(w, H, j, x)
         assert num.direct_sum == pytest.approx(float(dcn.per_n), rel=1e-9)
 
 
@@ -269,13 +267,6 @@ def test_blocked_profile_matches_unblocked(offsets, r):
         assert got.tobytes() == unblocked_profile(w, H, x).tobytes(), x
 
 
-def test_form_pair_equals_forms_alone():
-    for offsets, r, R, x, j in [((0, 2), 0, 9, 5000, 2), ((0, 4, 6), 1, 17, 100_003, 3)]:
-        H = OffsetTuple(offsets)
-        w = build_weights(PolynomialSpec.power(H.k, r), R)
-        assert form_pair(w, H, j, x) == (denominator_form(w, H, x), numerator_form(w, H, j, x))
-
-
 @pytest.mark.parametrize("offsets", ["0", "0,2", "0,4,6"])
 def test_gpy_experiment_builds_one_profile(monkeypatch, offsets):
     calls = []
@@ -293,8 +284,7 @@ def test_numerator_below_denominator():
     H = OffsetTuple((0, 2))
     w = build_weights(PolynomialSpec.power(2, 1), 9)
     x = 2000
-    den = denominator_form(w, H, x)
-    num = numerator_form(w, H, 1, x)
+    den, num = quadratic_forms(w, H, x)
     assert 0.0 <= num.direct_sum <= den.direct_sum
 
 
@@ -302,23 +292,19 @@ def test_level_too_large():
     H = OffsetTuple((0, 2))
     w = build_weights(PolynomialSpec.power(2, 0), 40)
     with pytest.raises(LevelTooLargeError):
-        denominator_form(w, H, 1600)
-    with pytest.raises(LevelTooLargeError):
-        numerator_form(w, H, 1, 1600)
-    with pytest.raises(LevelTooLargeError):
-        form_pair(w, H, 1, 1600)
+        quadratic_forms(w, H, 1600)
 
 
 def test_numerator_j_validation():
     H = OffsetTuple((0, 2))
     w = build_weights(PolynomialSpec.power(2, 0), 9)
-    with pytest.raises(PreconditionError):
-        numerator_form(w, H, 0, 10**4)
-    with pytest.raises(PreconditionError):
-        numerator_form(w, H, 3, 10**4)
     for j in (0, 3):
         with pytest.raises(PreconditionError):
-            form_pair(w, H, j, 10**4)
+            quadratic_forms(w, H, 10**4, j)
+    # k = 1 has no numerator, but j is still checked
+    for j in (0, 2):
+        with pytest.raises(PreconditionError):
+            quadratic_forms(w, OffsetTuple((0,)), 10**4, j)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from primegaps import (
     RangeTooLargeError,
     factorize,
     is_prime,
-    iter_gaps,
     iter_segments,
     next_prime,
     prime_count,
@@ -95,32 +94,6 @@ def test_is_prime_against_trial_division():
     # around a 64-bit-scale value: factor structure known
     assert is_prime(2**61 - 1)          # Mersenne prime
     assert not is_prime(2**61 + 1)      # divisible by 3 * 715827883 * ...
-
-
-def test_iter_gaps_examples():
-    gaps = list(iter_gaps(2, 12))
-    assert [(g.p, g.p_next) for g in gaps] == [(2, 3), (3, 5), (5, 7), (7, 11), (11, 13)]
-    assert [g.gap for g in gaps] == [1, 2, 2, 4, 2]
-    assert list(iter_gaps(50, 50)) == []
-
-
-def test_iter_gaps_boundary_counts():
-    # one gap per prime in range, successor unconstrained
-    for lo, hi in ((2, 12), (3, 100), (10, 11), (14, 17)):
-        got = len(list(iter_gaps(lo, hi)))
-        assert got == len(trial_division_primes(lo, hi))
-
-
-def test_iter_gaps_structure():
-    prev_p = 0
-    for g in iter_gaps(2, 500):
-        assert g.p > prev_p
-        assert g.p_next == next_prime(g.p)
-        assert g.gap == g.p_next - g.p
-        assert g.normalized == pytest.approx(g.gap / math.log(g.p))
-        if g.p > 2:
-            assert g.gap % 2 == 0
-        prev_p = g.p
 
 
 @settings(max_examples=25, deadline=None)
