@@ -63,6 +63,10 @@ MAX_SAMPLES = 100_000_000
 MAX_CRAMER = 200_000_000
 MAX_BV_MODULI = 100_000
 SUBSET_BUDGET = 10_000_000
+# build_weights evaluates P, of degree k + r, once per squarefree d <= R
+MAX_POLY_DEGREE = 1_000
+# one inequality-scan row (k, m) costs about k + 2m big-rational steps
+MAX_SCAN_WORK = 1_000_000
 
 
 def parse_exact_int(text: str) -> int:
@@ -345,6 +349,8 @@ def _cmd_gpy_experiment(args):
     _guard(args.force, 2 * args.x <= MAX_SIEVE_SPAN, "2x beyond sieve budget")
     R = args.R if args.R is not None else max(2, math.isqrt(math.isqrt(args.x)))
     require_level(R, args.x)
+    degree = H.k + args.r
+    _guard(args.force, degree <= MAX_POLY_DEGREE, f"degree k+r {degree} beyond budget")
     P = PolynomialSpec.power(H.k, args.r)
     w = build_weights(P, R)
     rows = [
@@ -365,6 +371,8 @@ def _cmd_gpy_experiment(args):
 def _cmd_inequality_scan(args):
     require(args.k_min <= args.k_max and args.m_max >= 1,
             f"empty scan: k {args.k_min}..{args.k_max}, m 1..{args.m_max}")
+    work = (args.k_max - args.k_min + 1) * args.m_max * (args.k_max + 2 * args.m_max)
+    _guard(args.force, work <= MAX_SCAN_WORK, f"scan work {work} beyond budget")
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         for m in range(1, args.m_max + 1):

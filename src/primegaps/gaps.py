@@ -9,6 +9,7 @@ and primorial composite runs are constructed and verified.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -46,7 +47,7 @@ def exponential_bin_mass(bin_edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GapHistogram:
-    """Histogram of normalized gaps over primes p in [x_lo, x_hi).
+    """Histogram of normalized gaps (p_next - p)/log p over a run of primes.
 
     counts[i] covers [bin_edges[i], bin_edges[i+1]) and counts[-1] is the
     overflow bin for gaps at or beyond the last edge, so the bins partition
@@ -58,8 +59,6 @@ class GapHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     total: int
-    x_lo: int
-    x_hi: int
     max_gap_over_log_sq: float = math.nan
     max_gap_at_p: int | None = None
 
@@ -77,9 +76,7 @@ class GapHistogram:
         return float(self.counts[:idx].sum() / self.total)
 
 
-def _histogram_of_sequence(
-    seq: np.ndarray, edges: np.ndarray, x_lo: int, x_hi: int
-) -> GapHistogram:
+def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
     """Histogram the gaps of the ascending seq, each normalized by log p."""
     gaps = np.diff(seq)
     log_p = np.log(seq[:-1].astype(np.float64))
@@ -95,7 +92,7 @@ def _histogram_of_sequence(
     idx = np.searchsorted(edges, normalized, side="right") - 1
     idx = np.minimum(idx, len(edges) - 1)
     counts = np.bincount(idx, minlength=len(edges))
-    return GapHistogram(edges, counts, int(len(normalized)), x_lo, x_hi, worst, worst_p)
+    return GapHistogram(edges, counts, int(len(normalized)), worst, worst_p)
 
 
 def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
@@ -111,7 +108,7 @@ def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
     if len(primes) == 0:
         raise EmptyRangeError(f"no primes in [{x_lo}, {x_hi})")
     seq = np.append(primes, next_prime(int(primes[-1])))
-    return _histogram_of_sequence(seq, default_bin_edges(), x_lo, x_hi)
+    return _histogram_of_sequence(seq, default_bin_edges())
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +129,7 @@ class IntervalCountStats:
     integer n in [x, 2x] (computed from the sieve, no sampling).
     """
 
-    x: int
     n_samples: int
-    seed: int
     fractions: dict[int, float]
     empirical_mean: float
     empirical_std: float
@@ -145,39 +140,9 @@ class IntervalCountStats:
         return self.empirical_std / math.sqrt(self.n_samples)
 
 
-def _counts_in_intervals(cum: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Prime counts in [n, n + log n] for each start n; cum[i] = pi(i)."""
-    length = np.floor(np.log(starts.astype(np.float64))).astype(np.int64)
-    hi = np.minimum(starts + length, len(cum) - 1)
-    return cum[hi] - cum[starts - 1]
-
-
-def _indicator_cumsum(ind: np.ndarray) -> np.ndarray:
-    # int32 keeps the table at 4 bytes/entry; counts stay far below 2^31
-    # for any range the package will sieve.  numpy's cumsum of a bool
-    # array makes a temporary as large as its result, so it runs one
-    # _CHUNK piece at a time, carrying the count forward.
-    cum = np.empty(len(ind), dtype=np.int32)
-    carry = 0
-    for lo in range(0, len(ind), _CHUNK):
-        piece = cum[lo : lo + _CHUNK]
-        np.cumsum(ind[lo : lo + _CHUNK], dtype=np.int32, out=piece)
-        piece += carry
-        carry = int(piece[-1])
-    return cum
-
-
-def _exact_interval_mean(cum: np.ndarray, x: int) -> float:
-    """Average interval count over every integer start in [x, 2x]."""
-    total = 0
-    for lo in range(x, 2 * x + 1, _CHUNK):
-        hi = min(lo + _CHUNK, 2 * x + 1)
-        starts = np.arange(lo, hi, dtype=np.int64)
-        total += int(_counts_in_intervals(cum, starts).sum())
-    return total / (x + 1)
-
-
-_CHUNK = 1 << 20
+def _interval_lengths(starts: np.ndarray) -> np.ndarray:
+    """floor(log n) for each start n, so [n, n + log n] ends at n + length."""
+    return np.floor(np.log(starts.astype(np.float64))).astype(np.int64)
 
 
 def interval_counts_from_indicator(
@@ -186,31 +151,42 @@ def interval_counts_from_indicator(
     """Interval-count statistics over an arbitrary 0/1 prime indicator.
 
     ind[m] marks m as (simulated or real) prime; sampled starts n come from
-    [x, 2x] and must satisfy n + log n < len(ind).
+    [x, 2x] and must satisfy n + log n < len(ind).  Each count is a sum of
+    shifted slices, ind[n + t] for t = 0..floor(log n), so no prefix-count
+    table is built.  The exact mean swaps the two sums: the starts whose
+    interval reaches n + t form a suffix [b, 2x] of [x, 2x], found by
+    bisection since the length never decreases in n.
     """
     require(x >= 100, "x must be at least 100")
     require(n_samples >= 1, "need at least one sample")
+    require(seed >= 0, "seed must be nonnegative")
     require(2 * x + int(math.log(2 * x)) + 1 < len(ind), "indicator too short")
-    cum = _indicator_cumsum(ind)
     rng = make_rng(seed)
     starts = rng.integers(x, 2 * x + 1, size=n_samples)
-    counts = _counts_in_intervals(cum, starts)
+    length = _interval_lengths(starts)
+    counts = np.zeros(n_samples, dtype=np.int64)
+    total = 0
+    for t in range(int(_interval_lengths(np.array([2 * x]))[0]) + 1):
+        counts += ind[starts + t] & (length >= t)
+        b = bisect.bisect_left(
+            range(2 * x + 1), t, lo=x, key=lambda n: _interval_lengths(np.array([n]))[0]
+        )
+        total += int(np.count_nonzero(ind[b + t : 2 * x + 1 + t]))
     ks, freq = np.unique(counts, return_counts=True)
     fractions = {int(k): float(c / n_samples) for k, c in zip(ks, freq)}
     return IntervalCountStats(
-        x=x,
         n_samples=n_samples,
-        seed=seed,
         fractions=fractions,
         empirical_mean=float(counts.mean()),
         empirical_std=float(counts.std()),
-        exact_mean=_exact_interval_mean(cum, x),
+        exact_mean=total / (x + 1),
     )
 
 
 def interval_count_distribution(x: int, n_samples: int, seed: int) -> IntervalCountStats:
     """Frequencies of k primes in [n, n + log n] for random n in [x, 2x]."""
     require(x >= 100, "x must be at least 100")
+    require(seed >= 0, "seed must be nonnegative")
     hi = 2 * x + int(math.log(2 * x)) + 2
     ind = prime_indicator(0, hi)
     return interval_counts_from_indicator(ind, x, n_samples, seed)
@@ -228,6 +204,7 @@ class CramerConfig:
 
     def __post_init__(self):
         require(self.n_max >= 3, "n_max must be at least 3")
+        require(self.seed >= 0, "seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -274,9 +251,9 @@ def cramer_simulate(cfg: CramerConfig) -> CramerResult:
     positions = np.flatnonzero(ind)
     edges = default_bin_edges()
     if len(positions) >= 2:
-        hist = _histogram_of_sequence(positions, edges, 2, n)
+        hist = _histogram_of_sequence(positions, edges)
     else:
-        hist = GapHistogram(edges, np.zeros(len(edges), dtype=np.int64), 0, 2, n)
+        hist = GapHistogram(edges, np.zeros(len(edges), dtype=np.int64), 0)
     return CramerResult(
         indicators=ind,
         simulated_count=int(len(positions)),

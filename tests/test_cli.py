@@ -232,6 +232,45 @@ def test_gpy_experiment_checks_level_before_building_weights(monkeypatch, capsys
     assert "level-too-large" in capsys.readouterr().err
 
 
+def test_gpy_experiment_bounds_degree_before_building_polynomial(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("polynomial or weights built before the degree check")
+
+    monkeypatch.setattr("primegaps.cli.PolynomialSpec.power", refuse)
+    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e4", "--r", "1e8"]
+    assert main(argv) == 2
+    assert "degree k+r 100000002 beyond budget" in capsys.readouterr().err
+    assert main(["gpy-experiment", "--offsets", "0", "--x", "1e4", "--r", "1000"]) == 2
+    with pytest.raises(AssertionError, match="degree check"):   # --force reaches the build
+        main([*argv, "--force"])
+
+
+def test_gpy_experiment_accepts_degree_at_budget():
+    code, out = run_cli(["gpy-experiment", "--offsets", "0", "--x", "1e4", "--r", "999"])
+    assert code == 0 and out.startswith("form,")
+
+
+def test_inequality_scan_bounds_work_before_any_row(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("scan row built before the work check")
+
+    monkeypatch.setattr("primegaps.cli.RationalPoly", refuse)
+    monkeypatch.setattr("primegaps.cli.unfortunate_inequality", refuse)
+    argv = ["inequality-scan", "--k-max", "1000", "--m-max", "300"]
+    assert main(argv) == 2
+    assert "scan work 479520000 beyond budget" in capsys.readouterr().err
+    # 999 rows of k + 2m = 1002, one past the budget
+    assert main(["inequality-scan", "--k-max", "1000", "--m-max", "1"]) == 2
+    with pytest.raises(AssertionError, match="work check"):
+        main([*argv, "--force"])
+
+
+def test_inequality_scan_accepts_readme_scan():
+    code, out = run_cli(["inequality-scan", "--k-max", "20", "--m-max", "10"])
+    assert code == 0 and len(out.splitlines()) == 1 + 19 * 10
+
+
 def test_bv_scan_sensitivity_checks_doubled_grid_before_scanning(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("scanned before the doubled grid was checked")

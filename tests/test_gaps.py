@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps import (
     CramerConfig,
@@ -18,7 +21,9 @@ from primegaps import (
     primes_between,
     rankin_bound,
 )
-from primegaps.gaps import default_bin_edges, make_rng
+from primegaps import gaps
+from primegaps.gaps import default_bin_edges, interval_counts_from_indicator, make_rng
+from primegaps.sieve import prime_indicator
 
 from conftest import naive_factorize
 
@@ -137,6 +142,88 @@ def test_interval_determinism():
     a = interval_count_distribution(10**4, 1000, seed=11)
     b = interval_count_distribution(10**4, 1000, seed=11)
     assert a.fractions == b.fractions
+
+
+def prefix_count_referee(ind, x, n_samples, seed):
+    """Interval statistics from a prefix-count table over the whole
+    indicator: count(n) = cum[n + L] - cum[n - 1] with L = floor(log n),
+    and the exact mean taken over every start in [x, 2x]."""
+    cum = np.cumsum(ind, dtype=np.int32)
+
+    def counts(ns):
+        length = np.floor(np.log(ns.astype(np.float64))).astype(np.int64)
+        return cum[ns + length] - cum[ns - 1]
+
+    drawn = counts(make_rng(seed).integers(x, 2 * x + 1, size=n_samples))
+    ks, freq = np.unique(drawn, return_counts=True)
+    fractions = {int(k): float(c / n_samples) for k, c in zip(ks, freq)}
+    total = sum(
+        int(counts(np.arange(lo, min(lo + 2**20, 2 * x + 1))).sum())
+        for lo in range(x, 2 * x + 1, 2**20)
+    )
+    return fractions, float(drawn.mean()), float(drawn.std()), total / (x + 1)
+
+
+def interval_stats_tuple(ind, x, n_samples, seed):
+    s = interval_counts_from_indicator(ind, x, n_samples, seed)
+    return s.fractions, s.empirical_mean, s.empirical_std, s.exact_mean
+
+
+@functools.cache
+def referee_indicator(kind):
+    """A real (bool or int64 0/1) or simulated indicator covering x <= e^13."""
+    span = 2 * int(math.exp(13)) + 40
+    if kind == "cramer":
+        return cramer_simulate(CramerConfig(n_max=span, seed=0)).indicators
+    ind = prime_indicator(0, span)
+    return ind if kind == "bool" else ind.astype(np.int64)
+
+
+@st.composite
+def straddling_x(draw):
+    """x with e^t in [x, 2x], often within a few integers of either end."""
+    t = draw(st.integers(min_value=5, max_value=13))
+    lo, hi = max(100, math.ceil(math.exp(t) / 2)), math.floor(math.exp(t))
+    near = st.sampled_from([lo, hi]).flatmap(
+        lambda e: st.integers(max(100, e - 3), e + 3))
+    return draw(st.one_of(near, st.integers(lo, hi)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    straddling_x(),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(["bool", "int", "cramer"]),
+    st.booleans(),
+)
+def test_interval_stats_equal_prefix_count_referee(x, n_samples, seed, kind, trim):
+    ind = referee_indicator(kind)
+    if trim:   # the shortest indicator the precondition admits
+        ind = ind[: 2 * x + int(math.log(2 * x)) + 2]
+    assert interval_stats_tuple(ind, x, n_samples, seed) == prefix_count_referee(
+        ind, x, n_samples, seed)
+
+
+@pytest.mark.parametrize("x, n_samples, seed", [(2 * 10**7, 10**5, 0), (100, 1000, 3)])
+def test_interval_stats_equal_prefix_count_referee_at_cli_sizes(x, n_samples, seed):
+    # [2e7, 4e7] contains e^17, so one shift covers only a suffix of starts
+    ind = prime_indicator(0, 2 * x + int(math.log(2 * x)) + 2)
+    assert interval_stats_tuple(ind, x, n_samples, seed) == prefix_count_referee(
+        ind, x, n_samples, seed)
+
+
+def test_negative_seed_refused_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sieved before the seed was checked")
+
+    monkeypatch.setattr(gaps, "prime_indicator", refuse)
+    with pytest.raises(PreconditionError, match="seed"):
+        interval_count_distribution(1000, 10, seed=-1)
+    with pytest.raises(PreconditionError, match="seed"):
+        interval_counts_from_indicator(np.zeros(3000, dtype=bool), 1000, 10, seed=-1)
+    with pytest.raises(PreconditionError, match="seed"):
+        CramerConfig(n_max=1000, seed=-1)
 
 
 # ---------------------------------------------------------------------------
