@@ -240,19 +240,7 @@ def _cmd_cramer(args):
 
 
 def _cmd_longgap(args):
-    report = long_gap_construct(args.kind, args.m)
-    row = {
-        "construction": report.construction,
-        "m": report.m,
-        "N": report.N,
-        "run_start": report.run_start,
-        "guaranteed_run": report.guaranteed_run,
-        "observed_run": report.observed_run,
-        "observed_run_over_log_sq": report.observed_run_over_log_sq,
-        "rankin_bound_at_N": report.rankin_bound_at_N,
-        "cramer_limsup_constant": report.cramer_limsup_constant,
-        "corrected_limsup_constant": report.corrected_limsup_constant,
-    }
+    row = vars(long_gap_construct(args.kind, args.m))
     return list(row), [row], _meta(args, kind=args.kind, m=args.m)
 
 
@@ -287,8 +275,7 @@ def _cmd_hl_count(args):
     row = {
         "offsets": str(H),
         "x": args.x,
-        "actual": res.actual,
-        "predicted": res.predicted,
+        **res._asdict(),
         "ratio": res.actual / res.predicted if res.predicted else math.nan,
     }
     return list(row), [row], _meta(args, offsets=str(H), x=args.x)
@@ -299,14 +286,7 @@ def _cmd_gallagher(args):
     L = args.L if args.L is not None else default_truncation(args.h, args.k)
     _guard_level(args.force, args.k, L)
     res = gallagher_average(args.k, args.h, L, budget=budget)
-    row = {
-        "k": args.k,
-        "h": args.h,
-        "L": L,
-        "lhs": res.lhs,
-        "rhs": res.rhs,
-        "ratio": res.ratio,
-    }
+    row = {"k": args.k, "h": args.h, "L": L, **res._asdict()}
     return list(row), [row], _meta(args, k=args.k, h=args.h, L=L)
 
 
@@ -320,33 +300,25 @@ def _parse_poly(text: str, k: int) -> PolynomialSpec:
 
 def _cmd_gpy_ratio(args):
     if args.coeffs is not None:
-        P = _parse_poly(args.coeffs, args.k)
-        ratio = gpy_ratio_general(P, args.k, args.theta)
-        row = {
-            "k": args.k,
-            "r": None,
-            "theta": args.theta,
-            "ratio": ratio,
-            "method": "general",
-        }
+        r, method = None, "general"
+        ratio = gpy_ratio_general(_parse_poly(args.coeffs, args.k), args.k, args.theta)
         meta = _meta(args, k=args.k, theta=args.theta, coeffs=args.coeffs)
     else:
+        r, method = args.r, "closed-form"
         ratio = gpy_ratio(args.k, args.r, args.theta)
-        row = {
-            "k": args.k,
-            "r": args.r,
-            "theta": args.theta,
-            "ratio": ratio,
-            "method": "closed-form",
-        }
         meta = _meta(args, k=args.k, r=args.r, theta=args.theta)
         meta["best_r"] = best_power_r(args.k)
+    row = {"k": args.k, "r": r, "theta": args.theta, "ratio": ratio, "method": method}
     return list(row), [row], meta
 
 
 def _cmd_gpy_experiment(args):
     H = OffsetTuple.parse(args.offsets)
-    _guard(args.force, 2 * args.x <= MAX_SIEVE_SPAN, "2x beyond sieve budget")
+    # the weight profile holds x + 1 float64s; MAX_SIEVE_SPAN bytes is what
+    # a bool indicator of MAX_SIEVE_SPAN entries takes
+    profile = 8 * (args.x + 1)
+    _guard(args.force, profile <= MAX_SIEVE_SPAN,
+           f"weight profile of {profile} bytes beyond budget")
     R = args.R if args.R is not None else max(2, math.isqrt(math.isqrt(args.x)))
     require_level(R, args.x)
     degree = H.k + args.r
@@ -396,16 +368,7 @@ def _cmd_ap_table(args):
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     _guard(args.force, args.q <= MAX_BV_MODULI, "q beyond budget")
     table = error_table(args.x, args.q)
-    rows = [
-        {
-            "q": rec.q,
-            "a": rec.a,
-            "count": rec.count,
-            "expected": rec.expected,
-            "error": rec.error,
-        }
-        for rec in table.records
-    ]
+    rows = [vars(rec) for rec in table.records]
     meta = _meta(args, x=args.x, q=args.q)
     meta["max_abs_error"] = table.max_abs_error
     meta["phi_q"] = len(table.records)
@@ -466,91 +429,71 @@ def _cmd_montgomery(args):
     return ["q", "ratio"], rows, meta
 
 
-_HANDLERS = {
-    "gaps": _cmd_gaps,
-    "intervals": _cmd_intervals,
-    "cramer": _cmd_cramer,
-    "longgap": _cmd_longgap,
-    "tuple": _cmd_tuple,
-    "hl-count": _cmd_hl_count,
-    "gallagher": _cmd_gallagher,
-    "gpy-ratio": _cmd_gpy_ratio,
-    "gpy-experiment": _cmd_gpy_experiment,
-    "inequality-scan": _cmd_inequality_scan,
-    "ap-table": _cmd_ap_table,
-    "bv-scan": _cmd_bv_scan,
-    "montgomery": _cmd_montgomery,
-}
-
-
-def _add_common(sp: argparse.ArgumentParser, seeded: bool = False) -> None:
-    sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker threads for the modulus scans of bv-scan and "
-                         "montgomery (other subcommands accept and ignore it); "
-                         "output is identical at any value >= 1")
-    sp.add_argument("--force", action="store_true",
-                    help="override the size guardrails")
-    if seeded:
-        sp.add_argument("--seed", type=parse_seed, default=DEFAULT_SEED,
-                        help=f"RNG seed (default {DEFAULT_SEED}, never the clock)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primegaps",
         description="Empirical prime-gap, tuple, sieve-weight, and progression analyses.",
     )
     parser.add_argument("--version", action="version", version=f"primegaps {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="output path (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker threads for the modulus scans of bv-scan and "
+                             "montgomery (other subcommands accept and ignore it); "
+                             "output is identical at any value >= 1")
+    common.add_argument("--force", action="store_true",
+                        help="override the size guardrails")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=parse_seed, default=DEFAULT_SEED,
+                        help=f"RNG seed (default {DEFAULT_SEED}, never the clock)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("gaps", help="normalized prime-gap histogram")
+    def add_parser(name, handler, help, parent=common):
+        sp = sub.add_parser(name, parents=[parent], help=help)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = add_parser("gaps", _cmd_gaps, "normalized prime-gap histogram")
     sp.add_argument("--x-lo", type=parse_exact_int, default=3)
     sp.add_argument("--x-hi", type=parse_exact_int, required=True)
-    _add_common(sp)
 
-    sp = sub.add_parser("intervals", help="prime counts in random unit-mean intervals")
+    sp = add_parser("intervals", _cmd_intervals,
+                    "prime counts in random unit-mean intervals", seeded)
     sp.add_argument("--x", type=parse_exact_int, required=True)
     sp.add_argument("--n-samples", type=parse_exact_int, required=True)
-    _add_common(sp, seeded=True)
 
-    sp = sub.add_parser("cramer", help="Bernoulli simulation of the prime indicator")
+    sp = add_parser("cramer", _cmd_cramer, "Bernoulli simulation of the prime indicator", seeded)
     sp.add_argument("--n-max", type=parse_exact_int, required=True)
-    _add_common(sp, seeded=True)
 
-    sp = sub.add_parser("longgap", help="factorial/primorial composite runs")
+    sp = add_parser("longgap", _cmd_longgap, "factorial/primorial composite runs")
     sp.add_argument("--kind", choices=("factorial", "primorial"), required=True)
     sp.add_argument("--m", type=parse_exact_int, required=True)
-    _add_common(sp)
 
-    sp = sub.add_parser("tuple", help="admissibility and singular series of an offset tuple")
+    sp = add_parser("tuple", _cmd_tuple, "admissibility and singular series of an offset tuple")
     sp.add_argument("--offsets", required=True, help="comma-separated, e.g. 0,2,6")
     sp.add_argument("--L", type=parse_exact_int, default=None,
                     help="Euler-product truncation level")
-    _add_common(sp)
 
-    sp = sub.add_parser("hl-count", help="tuple counts against the k-tuple prediction")
+    sp = add_parser("hl-count", _cmd_hl_count, "tuple counts against the k-tuple prediction")
     sp.add_argument("--offsets", required=True)
     sp.add_argument("--x", type=parse_exact_int, required=True)
     sp.add_argument("--L", type=parse_exact_int, default=None)
-    _add_common(sp)
 
-    sp = sub.add_parser("gallagher", help="singular-series average over k-subsets of [1,h]")
+    sp = add_parser("gallagher", _cmd_gallagher, "singular-series average over k-subsets of [1,h]")
     sp.add_argument("--k", type=parse_exact_int, required=True)
     sp.add_argument("--h", type=parse_exact_int, required=True)
     sp.add_argument("--L", type=parse_exact_int, default=None)
-    _add_common(sp)
 
-    sp = sub.add_parser("gpy-ratio", help="detection ratio: closed form or general P")
+    sp = add_parser("gpy-ratio", _cmd_gpy_ratio, "detection ratio: closed form or general P")
     sp.add_argument("--k", type=parse_exact_int, required=True)
     sp.add_argument("--r", type=parse_exact_int, default=0)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--coeffs", default=None,
                     help="optional P coefficients c0,c1,... (low order first)")
-    _add_common(sp)
 
-    sp = sub.add_parser("gpy-experiment", help="direct sums vs quadratic forms vs asymptotics")
+    sp = add_parser("gpy-experiment", _cmd_gpy_experiment,
+                    "direct sums vs quadratic forms vs asymptotics")
     sp.add_argument("--offsets", required=True)
     sp.add_argument("--x", type=parse_exact_int, required=True)
     sp.add_argument("--R", type=parse_exact_int, default=None,
@@ -558,33 +501,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=parse_exact_int, default=0, help="P(y) = y^(k+r)")
     sp.add_argument("--j", type=parse_exact_int, default=1,
                     help="1-based offset index made prime in the numerator")
-    _add_common(sp)
 
-    sp = sub.add_parser("inequality-scan", help="the 4/k bound over monomial test functions")
+    sp = add_parser("inequality-scan", _cmd_inequality_scan,
+                    "the 4/k bound over monomial test functions")
     sp.add_argument("--k-min", type=parse_exact_int, default=2)
     sp.add_argument("--k-max", type=parse_exact_int, required=True)
     sp.add_argument("--m-max", type=parse_exact_int, required=True)
-    _add_common(sp)
 
-    sp = sub.add_parser("ap-table", help="per-residue prime counts and error terms")
+    sp = add_parser("ap-table", _cmd_ap_table, "per-residue prime counts and error terms")
     sp.add_argument("--x", type=parse_exact_int, required=True)
     sp.add_argument("--q", type=parse_exact_int, required=True)
-    _add_common(sp)
 
-    sp = sub.add_parser("bv-scan", help="averaged progression-error scan")
+    sp = add_parser("bv-scan", _cmd_bv_scan, "averaged progression-error scan")
     sp.add_argument("--x", type=parse_exact_int, required=True)
     sp.add_argument("--q-max", type=parse_exact_int, required=True)
     sp.add_argument("--checkpoints", type=parse_exact_int, default=64)
     sp.add_argument("--sensitivity", action="store_true",
                     help="also run with doubled checkpoints and report the delta")
-    _add_common(sp)
 
-    sp = sub.add_parser("montgomery", help="observed constants in the conjectured error bound")
+    sp = add_parser("montgomery", _cmd_montgomery,
+                    "observed constants in the conjectured error bound")
     sp.add_argument("--x", type=parse_exact_int, required=True)
     sp.add_argument("--q-min", type=parse_exact_int, default=2)
     sp.add_argument("--q-max", type=parse_exact_int, default=None)
     sp.add_argument("--eps", type=float, default=0.0)
-    _add_common(sp)
 
     return parser
 
@@ -594,7 +534,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         require(args.threads >= 1, f"--threads must be at least 1, got {args.threads}")
-        columns, rows, meta = _HANDLERS[args.cmd](args)
+        columns, rows, meta = args.handler(args)
         emit(columns, rows, meta, args.format, _resolve_out(args.out))
         return 0
     except PreconditionError as exc:

@@ -22,8 +22,6 @@ from .sieve import next_prime, prime_indicator, primes_between, primes_upto
 CRAMER_LIMSUP_CONSTANT = 1.0
 CORRECTED_LIMSUP_CONSTANT = 2.0 * math.exp(-np.euler_gamma)
 
-_RNG_ALGORITHM = "numpy-pcg64"
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded 64-bit generator (PCG64 via SeedSequence, splittable)."""
@@ -98,16 +96,15 @@ def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
 def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
     """Histogram the normalized gap of every prime in [x_lo, x_hi).
 
-    Each prime contributes its true gap; the successor of the last prime is
-    found past the range end.  Normalization divides by log p at the lower
-    endpoint.
+    Each prime contributes its true gap: the window is sieved through the
+    least prime >= x_hi, the successor of its last prime.  Normalization
+    divides by log p at the lower endpoint.
     """
     require(x_lo >= 3, "x_lo must be at least 3")
     require(x_hi > x_lo, "empty range")
-    primes = primes_between(x_lo, x_hi)
-    if len(primes) == 0:
+    seq = primes_between(x_lo, next_prime(x_hi - 1) + 1)
+    if len(seq) < 2:
         raise EmptyRangeError(f"no primes in [{x_lo}, {x_hi})")
-    seq = np.append(primes, next_prime(int(primes[-1])))
     return _histogram_of_sequence(seq, default_bin_edges())
 
 
@@ -273,9 +270,11 @@ class LongGapReport:
     construction 'factorial' takes N = m!; 'primorial' takes N as the
     product of the primes up to m.  Either way N+2, ..., N+m are composite
     (each shares a factor at most m with N), a run of m - 1 integers.
-    rankin_bound_at_N evaluates the record lower-bound expression at N with
-    c = 1 (NaN when the iterated logs are undefined); the limsup constants
-    are the reference values for gap/(log p)^2.
+    observed_run_over_log_sq scales the observed run like the limsup
+    statistic gap/(log p)^2, with p = run_start.  rankin_bound_at_N
+    evaluates the record lower-bound expression at N with c = 1 (NaN when
+    the iterated logs are undefined); the limsup constants are the
+    reference values for gap/(log p)^2.
     """
 
     construction: str
@@ -284,14 +283,10 @@ class LongGapReport:
     run_start: int
     guaranteed_run: int
     observed_run: int
+    observed_run_over_log_sq: float
     rankin_bound_at_N: float
     cramer_limsup_constant: float = CRAMER_LIMSUP_CONSTANT
     corrected_limsup_constant: float = CORRECTED_LIMSUP_CONSTANT
-
-    @property
-    def observed_run_over_log_sq(self) -> float:
-        """Observed run scaled like the limsup statistic gap/(log p)^2."""
-        return self.observed_run / math.log(self.run_start) ** 2
 
 
 _FACTORIAL_MAX = 20   # 21! exceeds 64 bits
@@ -330,6 +325,7 @@ def long_gap_construct(kind: str, m: int) -> LongGapReport:
         run_start=run_start,
         guaranteed_run=m - 1,
         observed_run=observed,
+        observed_run_over_log_sq=observed / math.log(run_start) ** 2,
         rankin_bound_at_N=rb,
     )
 

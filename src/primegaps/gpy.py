@@ -192,13 +192,13 @@ def require_level(R: int, x: int) -> None:
 
 def _pair_sum(w: WeightScheme, num, den) -> float:
     """fsum of lambda_d1 lambda_d2 num(D) / den(D) over D = [d1, d2]."""
-    terms = []
-    support = w.support
-    for d1 in support:
-        for d2 in support:
-            D = d1 * d2 // math.gcd(d1, d2)
-            terms.append(w.lam[d1] * w.lam[d2] * num(D) / den(D))
-    return math.fsum(terms)
+    def terms():
+        for d1 in w.support:
+            for d2 in w.support:
+                D = d1 * d2 // math.gcd(d1, d2)
+                yield w.lam[d1] * w.lam[d2] * num(D) / den(D)
+
+    return math.fsum(terms())
 
 
 def quadratic_forms(

@@ -123,14 +123,7 @@ _SMALL = 1 << 14
 
 def _presieved(phase: int, n: int) -> np.ndarray:
     """n odd flags from the wheel pattern, starting at its index phase."""
-    out = np.empty(n, dtype=bool)
-    done = min(n, _PERIOD)
-    out[:done] = _PATTERN[phase : phase + done]
-    while done < n:  # done is a whole number of periods: double it
-        step = min(done, n - done)
-        out[done : done + step] = out[:step]
-        done += step
-    return out
+    return np.resize(_PATTERN[phase : phase + _PERIOD], n)
 
 
 def _first_strikes(lo: int, ps: np.ndarray) -> np.ndarray:
@@ -217,8 +210,7 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi) as an int64 array."""
     if hi <= max(lo, 2):
         return np.empty(0, dtype=np.int64)
-    parts = [seg.primes() for seg in iter_segments(max(lo, 0), hi)]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.concatenate([seg.primes() for seg in iter_segments(max(lo, 0), hi)])
 
 
 def prime_count(x: int) -> int:
@@ -245,7 +237,7 @@ def is_prime(n: int) -> bool:
     require(0 <= n <= _U64_MAX, "n outside 64-bit range")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -274,8 +266,6 @@ def next_prime(n: int) -> int:
         return 2
     m = n + 1
     if m % 2 == 0:
-        if m == 2:
-            return 2
         m += 1
     while True:
         if m > _U64_MAX:

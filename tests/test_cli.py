@@ -73,6 +73,17 @@ def test_determinism_all_subcommands(fmt):
         assert out1 == out2, cmd
 
 
+def test_csv_header_matches_json_row_keys():
+    for cmd, args in FAST_ARGS.items():
+        _, csv_out = run_cli([cmd, *args])
+        _, json_out = run_cli([cmd, *args, "--format", "json"])
+        header = csv_out.splitlines()[0].split(",")
+        rows = json.loads(json_out)["rows"]
+        assert rows, cmd
+        for row in rows:
+            assert list(row) == header, cmd
+
+
 def test_output_independent_of_threads():
     for cmd in ("gaps", "cramer", "bv-scan", "montgomery", "ap-table"):
         base = [cmd, *FAST_ARGS[cmd]]
@@ -244,6 +255,24 @@ def test_gpy_experiment_bounds_degree_before_building_polynomial(monkeypatch, ca
     assert main(["gpy-experiment", "--offsets", "0", "--x", "1e4", "--r", "1000"]) == 2
     with pytest.raises(AssertionError, match="degree check"):   # --force reaches the build
         main([*argv, "--force"])
+
+
+def test_gpy_experiment_bounds_profile_before_building_weights(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("weights built before the profile check")
+
+    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    # the profile holds x + 1 float64s: 8 GB at x = 1e9
+    argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "weight profile of 8000000008 bytes" in err and "--force" in err
+    assert main(["gpy-experiment", "--offsets", "0,2", "--x", "250000000"]) == 2
+    # the largest x within budget, and --force, reach the (refusing) builder
+    for accepted in (["gpy-experiment", "--offsets", "0,2", "--x", "249999999"],
+                     [*argv, "--force"]):
+        with pytest.raises(AssertionError, match="profile check"):
+            main(accepted)
 
 
 def test_gpy_experiment_accepts_degree_at_budget():

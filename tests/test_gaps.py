@@ -21,7 +21,7 @@ from primegaps import (
     primes_between,
     rankin_bound,
 )
-from primegaps import gaps
+from primegaps import gaps, sieve
 from primegaps.gaps import default_bin_edges, interval_counts_from_indicator, make_rng
 from primegaps.sieve import prime_indicator
 
@@ -71,6 +71,16 @@ def test_histogram_overflow_bin():
     hist = gap_histogram(1327, 1328)
     assert hist.total == 1
     assert hist.counts[-1] == 1
+
+
+def test_histogram_refuses_successor_past_int64_before_sieving(monkeypatch):
+    # 2^63 - 25 is the last prime below 2^63, so its successor fits no int64
+    def refuse(limit):
+        raise AssertionError("sieved a window whose successor overflows int64")
+
+    monkeypatch.setattr(sieve, "_base_primes", refuse)
+    with pytest.raises(PreconditionError, match="64-bit"):
+        gap_histogram(2**63 - 30, 2**63 - 20)
 
 
 # maximal-gap records below 1e7 as (gap, p): OEIS A005250 / A002386
