@@ -323,6 +323,8 @@ def _cmd_gpy_experiment(args):
     require_level(R, args.x)
     degree = H.k + args.r
     _guard(args.force, degree <= MAX_POLY_DEGREE, f"degree k+r {degree} beyond budget")
+    # the asymptotics take S(H) at the default truncation level
+    _guard_level(args.force, H.k, default_truncation(H.offsets[-1], H.k))
     P = PolynomialSpec.power(H.k, args.r)
     w = build_weights(P, R)
     rows = [

@@ -191,12 +191,19 @@ def require_level(R: int, x: int) -> None:
 
 
 def _pair_sum(w: WeightScheme, num, den) -> float:
-    """fsum of lambda_d1 lambda_d2 num(D) / den(D) over D = [d1, d2]."""
+    """fsum of lambda_d1 lambda_d2 num(D) / den(D) over D = [d1, d2].
+
+    num and den are multiplicative and the support holds every squarefree
+    d <= R, so e = d2 / gcd(d1, d2) is in it and coprime to d1: num(D) =
+    num(d1) num(e), from one evaluation per support element."""
+    N = {d: num(d) for d in w.lam}
+    M = {d: den(d) for d in w.lam}
+
     def terms():
-        for d1 in w.support:
-            for d2 in w.support:
-                D = d1 * d2 // math.gcd(d1, d2)
-                yield w.lam[d1] * w.lam[d2] * num(D) / den(D)
+        for d1, l1 in w.lam.items():
+            for d2, l2 in w.lam.items():
+                e = d2 // math.gcd(d1, d2)
+                yield l1 * l2 * (N[d1] * N[e]) / (M[d1] * M[e])
 
     return math.fsum(terms())
 

@@ -152,7 +152,7 @@ def error_table(x: int, q: int) -> ErrorTable:
     require(x >= 2, "x must be at least 2")
     require(q >= 1, "q must be positive")
     primes = primes_upto(x)
-    _, C = next(_class_counts(primes, [len(primes)], q, q))
+    C = _top_counts(primes, [len(primes)], q)
     reduced = _reduced_residues(q)
     expected = log_integral(x) / len(reduced)
     records = [
@@ -178,8 +178,6 @@ class BVScanResult:
     zero at desk scale and are included for orientation only.
     """
 
-    x: int
-    q_max: int
     checkpoints: tuple[float, ...]
     per_q: dict[int, float]
     argmax_y: dict[int, float]
@@ -235,8 +233,6 @@ def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64, threads: int = 1) -> BV
     normalized = {A: total * logx**A / x for A in (1, 2, 3)}
     reference = {A: math.sqrt(x) / logx ** (24 * A + 46) for A in (1, 2, 3)}
     return BVScanResult(
-        x=x,
-        q_max=Q_max,
         checkpoints=tuple(float(y) for y in cps),
         per_q=per_q,
         argmax_y=argmax,

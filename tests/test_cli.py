@@ -275,6 +275,20 @@ def test_gpy_experiment_bounds_profile_before_building_weights(monkeypatch, caps
             main(accepted)
 
 
+def test_gpy_experiment_bounds_series_level_before_building_weights(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("weights built before the level check")
+
+    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    # the asymptotics take S(H) at L = h_k = 1e10, so k*L = 2e10
+    argv = ["gpy-experiment", "--offsets", "0,10000000000", "--x", "1e4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "k*L" in err and "--force" in err
+    with pytest.raises(AssertionError, match="level check"):
+        main([*argv, "--force"])
+
+
 def test_gpy_experiment_accepts_degree_at_budget():
     code, out = run_cli(["gpy-experiment", "--offsets", "0", "--x", "1e4", "--r", "999"])
     assert code == 0 and out.startswith("form,")

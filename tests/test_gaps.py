@@ -6,22 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import (
-    CramerConfig,
-    EmptyRangeError,
-    OffsetTuple,
-    PreconditionError,
-    cramer_simulate,
+from primegaps import CramerConfig, OffsetTuple, cramer_simulate, gap_histogram
+from primegaps import gaps, sieve
+from primegaps.errors import EmptyRangeError, PreconditionError
+from primegaps.gaps import (
     exponential_bin_mass,
-    gap_histogram,
     interval_count_distribution,
     long_gap_construct,
-    next_prime,
     poisson_unit_pmf,
-    primes_between,
     rankin_bound,
 )
-from primegaps import gaps, sieve
+from primegaps.sieve import next_prime, primes_between
 from primegaps.gaps import default_bin_edges, interval_counts_from_indicator, make_rng
 from primegaps.sieve import prime_indicator
 

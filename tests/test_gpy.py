@@ -10,24 +10,27 @@ from hypothesis import strategies as st
 from primegaps import (
     OffsetTuple,
     PolynomialSpec,
-    PreconditionError,
     RationalPoly,
-    best_power_r,
     build_weights,
     exact_double_count,
-    f_of,
-    g_of,
     gpy_ratio,
     gpy_ratio_general,
-    mobius,
     mobius_log_identity,
-    quadratic_forms,
     unfortunate_inequality,
-    weighted_square_integral,
 )
-from primegaps.errors import LevelTooLargeError
 from primegaps import cli, gpy
-from primegaps.gpy import _PROFILE_BLOCK, _divisor_residues, _weight_profile
+from primegaps.errors import LevelTooLargeError, PreconditionError
+from primegaps.gpy import (
+    _PROFILE_BLOCK,
+    _divisor_residues,
+    _weight_profile,
+    best_power_r,
+    f_of,
+    g_of,
+    mobius,
+    quadratic_forms,
+)
+from primegaps.polys import weighted_square_integral
 
 from conftest import naive_factorize
 
@@ -232,6 +235,25 @@ def test_forms_match_exact_routes_in_float():
         dcn = exact_double_count(w, H, x, j=j)
         assert dcn.per_n == dcn.pair
         assert num.direct_sum == pytest.approx(float(dcn.per_n), rel=1e-9)
+
+
+def test_pair_sums_take_local_factors_once_per_support_element(monkeypatch):
+    calls = dict.fromkeys(("f_of", "g_of", "euler_phi"), 0)
+
+    def counting(name):
+        fn = getattr(gpy, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gpy, name, counting(name))
+    w = build_weights(PolynomialSpec.power(2, 1), 56)
+    quadratic_forms(w, OffsetTuple((0, 2)), 10**4)
+    assert all(0 < n <= len(w.lam) for n in calls.values()), calls
 
 
 @pytest.mark.parametrize(

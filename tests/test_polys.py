@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primegaps import PolynomialSpec, PreconditionError, RationalPoly, weighted_square_integral
+from primegaps import PolynomialSpec, RationalPoly
+from primegaps.errors import PreconditionError
+from primegaps.polys import weighted_square_integral
 
 coeff_lists = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=6)
 

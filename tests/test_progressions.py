@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import (
-    PreconditionError,
+from primegaps import pi_ap, prime_count
+from primegaps.errors import PreconditionError
+from primegaps.progressions import (
     bv_scan,
     error_table,
     euler_phi,
     log_integral,
     montgomery_ratios,
-    pi_ap,
-    prime_count,
 )
 from primegaps.progressions import _class_counts, bv_checkpoints
 from primegaps.sieve import primes_upto

@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primegaps
-from primegaps import (
-    PreconditionError,
-    RangeTooLargeError,
+from primegaps import prime_count, sieve_range
+from primegaps.errors import PreconditionError, RangeTooLargeError
+from primegaps.sieve import (
     factorize,
     is_prime,
     iter_segments,
     next_prime,
-    prime_count,
     prime_indicator,
     primes_between,
     primes_upto,
-    sieve_range,
 )
 from primegaps.sieve import MAX_RANGE, SEGMENT_SIZE
 

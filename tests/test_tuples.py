@@ -6,18 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primegaps import (
-    BudgetExceededError,
-    OffsetTuple,
-    PreconditionError,
-    SingularSeriesValue,
-    gallagher_average,
-    hl_count,
-    is_admissible,
-    nu,
-    prime_count,
-    singular_series,
-)
+from primegaps import OffsetTuple, gallagher_average, prime_count, singular_series
+from primegaps.errors import BudgetExceededError, PreconditionError
+from primegaps.tuples import SingularSeriesValue, hl_count, is_admissible, nu
 from primegaps.sieve import primes_upto
 from primegaps.tuples import default_truncation
 
