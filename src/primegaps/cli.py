@@ -4,6 +4,10 @@ Every run is deterministic for a fixed argument list (the default seed is
 the constant 0, never the clock), so identical invocations produce
 byte-identical files.  Validation failures exit 2 naming the violated
 precondition; runtime failures (overflow, budgets, I/O) exit 1.
+
+Each handler imports the layers it runs when it runs, so a process loads
+only what its subcommand needs: gpy-ratio and inequality-scan start without
+numpy, and only the progression subcommands load mpmath.
 """
 
 from __future__ import annotations
@@ -15,44 +19,11 @@ import json
 import math
 import os
 import sys
-import tempfile
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetExceededError, PreconditionError, require
-from .gaps import (
-    CORRECTED_LIMSUP_CONSTANT,
-    CRAMER_LIMSUP_CONSTANT,
-    CramerConfig,
-    cramer_simulate,
-    exponential_bin_mass,
-    gap_histogram,
-    interval_count_distribution,
-    long_gap_construct,
-    poisson_unit_pmf,
-)
-from .gpy import (
-    InequalityCheck,
-    PolynomialSpec,
-    RationalPoly,
-    best_power_r,
-    build_weights,
-    gpy_ratio,
-    gpy_ratio_general,
-    quadratic_forms,
-    require_level,
-    unfortunate_inequality,
-)
-from .progressions import bv_scan, error_table, montgomery_ratios, require_checkpoints
-from .sieve import primes_upto
-from .tuples import (
-    OffsetTuple,
-    default_truncation,
-    gallagher_average,
-    hl_count,
-    singular_series,
-)
 
 DEFAULT_SEED = 0
 OUTDIR_ENV = "PRIMEGAPS_OUTDIR"
@@ -137,6 +108,8 @@ def emit(columns, rows, meta, fmt: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".primegaps-")
     try:
@@ -179,6 +152,8 @@ def _meta(args, **params) -> dict:
 
 
 def _histogram_rows(hist):
+    from .gaps import exponential_bin_mass
+
     masses = exponential_bin_mass(hist.bin_edges)
     rows = []
     edges = list(hist.bin_edges) + [math.inf]
@@ -199,6 +174,8 @@ def _histogram_rows(hist):
 # subcommand handlers: each returns (columns, rows, meta)
 
 def _cmd_gaps(args):
+    from .gaps import CORRECTED_LIMSUP_CONSTANT, CRAMER_LIMSUP_CONSTANT, gap_histogram
+
     # the window plus the base primes up to sqrt(x_hi)
     span = args.x_hi - args.x_lo + math.isqrt(max(args.x_hi, 0))
     _guard(args.force, span <= MAX_SIEVE_SPAN, f"sieved span {span} beyond sieve budget")
@@ -215,6 +192,8 @@ def _cmd_gaps(args):
 
 
 def _cmd_intervals(args):
+    from .gaps import interval_count_distribution, poisson_unit_pmf
+
     _guard(args.force, 2 * args.x <= MAX_SIEVE_SPAN, f"2x {2 * args.x} beyond sieve budget")
     _guard(args.force, args.n_samples <= MAX_SAMPLES, "n_samples beyond budget")
     stats = interval_count_distribution(args.x, args.n_samples, args.seed)
@@ -229,6 +208,8 @@ def _cmd_intervals(args):
 
 
 def _cmd_cramer(args):
+    from .gaps import CramerConfig, cramer_simulate
+
     _guard(args.force, args.n_max <= MAX_CRAMER, f"n_max {args.n_max} beyond budget")
     result = cramer_simulate(CramerConfig(n_max=args.n_max, seed=args.seed))
     columns, rows = _histogram_rows(result.histogram)
@@ -240,11 +221,15 @@ def _cmd_cramer(args):
 
 
 def _cmd_longgap(args):
+    from .gaps import long_gap_construct
+
     row = vars(long_gap_construct(args.kind, args.m))
     return list(row), [row], _meta(args, kind=args.kind, m=args.m)
 
 
 def _cmd_tuple(args):
+    from .tuples import OffsetTuple, default_truncation, singular_series
+
     H = OffsetTuple.parse(args.offsets)
     L = args.L if args.L is not None else default_truncation(H.offsets[-1], H.k)
     _guard_level(args.force, H.k, L)
@@ -263,6 +248,8 @@ def _cmd_tuple(args):
 
 
 def _cmd_hl_count(args):
+    from .tuples import OffsetTuple, default_truncation, hl_count
+
     H = OffsetTuple.parse(args.offsets)
     _guard(
         args.force,
@@ -282,6 +269,8 @@ def _cmd_hl_count(args):
 
 
 def _cmd_gallagher(args):
+    from .tuples import default_truncation, gallagher_average
+
     budget = None if args.force else SUBSET_BUDGET
     L = args.L if args.L is not None else default_truncation(args.h, args.k)
     _guard_level(args.force, args.k, L)
@@ -290,7 +279,9 @@ def _cmd_gallagher(args):
     return list(row), [row], _meta(args, k=args.k, h=args.h, L=L)
 
 
-def _parse_poly(text: str, k: int) -> PolynomialSpec:
+def _parse_poly(text: str, k: int):
+    from .polys import PolynomialSpec
+
     try:
         coeffs = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -299,6 +290,8 @@ def _parse_poly(text: str, k: int) -> PolynomialSpec:
 
 
 def _cmd_gpy_ratio(args):
+    from .polys import best_power_r, gpy_ratio, gpy_ratio_general
+
     if args.coeffs is not None:
         r, method = None, "general"
         ratio = gpy_ratio_general(_parse_poly(args.coeffs, args.k), args.k, args.theta)
@@ -313,6 +306,10 @@ def _cmd_gpy_ratio(args):
 
 
 def _cmd_gpy_experiment(args):
+    from .gpy import build_weights, quadratic_forms, require_level
+    from .polys import PolynomialSpec
+    from .tuples import OffsetTuple, default_truncation
+
     H = OffsetTuple.parse(args.offsets)
     # the weight profile holds x + 1 float64s; MAX_SIEVE_SPAN bytes is what
     # a bool indicator of MAX_SIEVE_SPAN entries takes
@@ -343,6 +340,8 @@ def _cmd_gpy_experiment(args):
 
 
 def _cmd_inequality_scan(args):
+    from .polys import RationalPoly, unfortunate_inequality
+
     require(args.k_min <= args.k_max and args.m_max >= 1,
             f"empty scan: k {args.k_min}..{args.k_max}, m 1..{args.m_max}")
     work = (args.k_max - args.k_min + 1) * args.m_max * (args.k_max + 2 * args.m_max)
@@ -351,7 +350,7 @@ def _cmd_inequality_scan(args):
     for k in range(args.k_min, args.k_max + 1):
         for m in range(1, args.m_max + 1):
             Q = RationalPoly([0] * m + [1])
-            chk: InequalityCheck = unfortunate_inequality(Q, k)
+            chk = unfortunate_inequality(Q, k)
             rows.append(
                 {
                     "k": k,
@@ -367,6 +366,9 @@ def _cmd_inequality_scan(args):
 
 
 def _cmd_ap_table(args):
+    from .progressions import error_table
+    from .sieve import primes_upto
+
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     _guard(args.force, args.q <= MAX_BV_MODULI, "q beyond budget")
     table = error_table(args.x, args.q)
@@ -382,6 +384,8 @@ def _cmd_ap_table(args):
 
 
 def _cmd_bv_scan(args):
+    from .progressions import bv_scan, require_checkpoints
+
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     _guard(args.force, args.q_max <= MAX_BV_MODULI, "q_max beyond budget")
     require_checkpoints(args.x, args.checkpoints)
@@ -418,6 +422,8 @@ def _cmd_bv_scan(args):
 
 
 def _cmd_montgomery(args):
+    from .progressions import montgomery_ratios
+
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     q_hi = args.q_max if args.q_max is not None else args.q_min
     # bounds the moduli count too, since every modulus is at least 1

@@ -74,23 +74,34 @@ class GapHistogram:
         return float(self.counts[:idx].sum() / self.total)
 
 
+# _histogram_of_sequence takes the gaps of this many primes at a time, so its
+# float64 temporaries are 1 MiB each, not the size of the whole sequence.
+_GAP_BLOCK = 1 << 17
+
+
 def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
-    """Histogram the gaps of the ascending seq, each normalized by log p."""
-    gaps = np.diff(seq)
-    log_p = np.log(seq[:-1].astype(np.float64))
-    # gap / (log p)^2 and then gap / log p share one buffer, and gaps and
-    # log_p are freed before binning, so the max-gap statistic adds no
-    # gap-sized array to the peak memory
-    stat = np.square(log_p)
-    np.divide(gaps, stat, out=stat)
-    i = int(stat.argmax())
-    worst, worst_p = float(stat[i]), int(seq[i])
-    normalized = np.divide(gaps, log_p, out=stat)
-    del gaps, log_p
-    idx = np.searchsorted(edges, normalized, side="right") - 1
-    idx = np.minimum(idx, len(edges) - 1)
-    counts = np.bincount(idx, minlength=len(edges))
-    return GapHistogram(edges, counts, int(len(normalized)), worst, worst_p)
+    """Histogram the gaps of the ascending seq, each normalized by log p.
+
+    Each value is computed elementwise, so taking the sequence in blocks
+    gives the same counts and, with a strict > across blocks, the same
+    first p attaining the largest gap/(log p)^2 as one pass over it."""
+    counts = np.zeros(len(edges), dtype=np.int64)
+    worst, worst_p = math.nan, None
+    for lo in range(0, len(seq) - 1, _GAP_BLOCK):
+        block = seq[lo : lo + _GAP_BLOCK + 1]
+        gaps = np.diff(block)
+        log_p = np.log(block[:-1].astype(np.float64))
+        # gap / (log p)^2 and then gap / log p share one buffer
+        stat = np.square(log_p)
+        np.divide(gaps, stat, out=stat)
+        i = int(stat.argmax())
+        if worst_p is None or stat[i] > worst:
+            worst, worst_p = float(stat[i]), int(block[i])
+        normalized = np.divide(gaps, log_p, out=stat)
+        idx = np.searchsorted(edges, normalized, side="right") - 1
+        np.minimum(idx, len(edges) - 1, out=idx)
+        counts += np.bincount(idx, minlength=len(edges))
+    return GapHistogram(edges, counts, len(seq) - 1, worst, worst_p)
 
 
 def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:

@@ -13,8 +13,8 @@ with f multiplicative, f(p) = nu_H(p); restricting to n with n + h_j prime
 replaces f/[d1,d2] by g/phi([d1,d2]) with g(p) = nu_H(p) - 1 and a factor
 x/log x.  Both forms have beta-integral asymptotics whose ratio, times
 log R/log x, is the quantity that would exceed 1/k if bounded prime gaps
-followed; the closed form for P(y) = y^(k+r) and the strict inequality
-blocking improvement past 4/k are implemented exactly over the rationals.
+followed; that ratio and the strict inequality blocking improvement past
+4/k are exact-rational and live in polys.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LevelTooLargeError, require
-from .polys import PolynomialSpec, RationalPoly, weighted_square_integral
+from .polys import PolynomialSpec, weighted_square_integral
 from .progressions import euler_phi
 from .sieve import factorize, prime_indicator
 from .tuples import OffsetTuple, nu, singular_series
@@ -322,68 +322,3 @@ def exact_double_count(
                     count += int(pmask[(r - x) % D :: D].sum())
             pair += lamF[d1] * lamF[d2] * count
     return DoubleCount(per_n, pair)
-
-
-# ---------------------------------------------------------------------------
-# the ratio and the inequality blocking it
-
-def gpy_ratio(k: int, r: int, theta: float) -> float:
-    """Closed form theta * 2(2r+1) / ((r+1)(k+2r+1)) for P(y) = y^(k+r)."""
-    require(k >= 2, "k must be at least 2")
-    require(r >= 0, "r must be nonnegative")
-    require(0.0 < theta <= 0.5, "theta must lie in (0, 1/2]")
-    return theta * (2 * (2 * r + 1)) / ((r + 1) * (k + 2 * r + 1))
-
-
-def gpy_ratio_general(P: PolynomialSpec, k: int, theta: float) -> float:
-    """The ratio of beta-integral main terms for an arbitrary valid P:
-
-        theta * (int y^(k-2)/(k-2)! P^(k-1)(1-y)^2 dy)
-              / (int y^(k-1)/(k-1)! P^(k)(1-y)^2 dy),
-
-    with both integrals evaluated exactly over the rationals."""
-    require(k >= 2, "k must be at least 2")
-    require(0.0 < theta <= 0.5, "theta must lie in (0, 1/2]")
-    order = P.poly.vanishing_order()
-    require(order is not None and order >= k, "P must vanish to order >= k at 0")
-    num = weighted_square_integral(P.poly.deriv(k - 1), k - 2)
-    den = weighted_square_integral(P.poly.deriv(k), k - 1)
-    require(den != 0, "denominator integral vanishes")
-    return theta * float(num / den)
-
-
-def best_power_r(k: int) -> int:
-    """Integer r maximizing 2(2r+1)/((r+1)(k+2r+1)), ties to the smaller r.
-
-    With t = 2r+1 the reciprocal is (t + k + 1 + k/t)/4, convex
-    with its minimum at t = sqrt(k); the integers around it compare exactly.
-    """
-    require(k >= 2, "k must be at least 2")
-    s = math.isqrt(k)
-    return max(
-        range(max(0, (s - 1) // 2), s // 2 + 2),
-        key=lambda r: Fraction(2 * (2 * r + 1), (r + 1) * (k + 2 * r + 1)),
-    )
-
-
-class InequalityCheck(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-
-
-def unfortunate_inequality(Q: RationalPoly, k: int) -> InequalityCheck:
-    """The strict bound capping the ratio: for Q != 0 with Q(0) = 0,
-
-        int y^(k-2)/(k-2)! Q(1-y)^2 dy  <  (4/k) int y^(k-1)/(k-1)! Q'(1-y)^2 dy.
-
-    Returns exact rational (lhs, rhs, lhs < rhs); rhs includes the 4/k
-    factor.  Both sides scale by c^2 under Q -> cQ, so holds is
-    scale-invariant.
-    """
-    require(k >= 2, "k must be at least 2")
-    require(not Q.is_zero, "invalid-Q: polynomial is identically zero")
-    require(Q(Fraction(0)) == 0, "invalid-Q: need Q(0) = 0")
-    lhs = weighted_square_integral(Q, k - 2)
-    rhs = Fraction(4, k) * weighted_square_integral(Q.deriv(), k - 1)
-    return InequalityCheck(lhs, rhs, lhs < rhs)

@@ -1,8 +1,12 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomial arithmetic over the rationals, and the GPY ratio.
 
 The sieve-weight optimization compares strict inequalities between integrals
 of squared polynomials, so all expansion, differentiation, and integration
-over [0, 1] is done with Fraction coefficients; nothing here rounds.
+over [0, 1] is done with Fraction coefficients; nothing here rounds but the
+float returned as the GPY detection ratio.  That ratio of the two
+beta-integral main terms (closed form for P(y) = y^(k+r), exact integrals
+for any valid P) and the strict 4/k inequality bounding it are built on
+these integrals, so they live here too.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import require
 
@@ -129,3 +133,68 @@ class PolynomialSpec:
 
     def __call__(self, y):
         return self.poly(y)
+
+
+# ---------------------------------------------------------------------------
+# the ratio and the inequality blocking it
+
+def gpy_ratio(k: int, r: int, theta: float) -> float:
+    """Closed form theta * 2(2r+1) / ((r+1)(k+2r+1)) for P(y) = y^(k+r)."""
+    require(k >= 2, "k must be at least 2")
+    require(r >= 0, "r must be nonnegative")
+    require(0.0 < theta <= 0.5, "theta must lie in (0, 1/2]")
+    return theta * (2 * (2 * r + 1)) / ((r + 1) * (k + 2 * r + 1))
+
+
+def gpy_ratio_general(P: PolynomialSpec, k: int, theta: float) -> float:
+    """The ratio of beta-integral main terms for an arbitrary valid P:
+
+        theta * (int y^(k-2)/(k-2)! P^(k-1)(1-y)^2 dy)
+              / (int y^(k-1)/(k-1)! P^(k)(1-y)^2 dy),
+
+    with both integrals evaluated exactly over the rationals."""
+    require(k >= 2, "k must be at least 2")
+    require(0.0 < theta <= 0.5, "theta must lie in (0, 1/2]")
+    order = P.poly.vanishing_order()
+    require(order is not None and order >= k, "P must vanish to order >= k at 0")
+    num = weighted_square_integral(P.poly.deriv(k - 1), k - 2)
+    den = weighted_square_integral(P.poly.deriv(k), k - 1)
+    require(den != 0, "denominator integral vanishes")
+    return theta * float(num / den)
+
+
+def best_power_r(k: int) -> int:
+    """Integer r maximizing 2(2r+1)/((r+1)(k+2r+1)), ties to the smaller r.
+
+    With t = 2r+1 the reciprocal is (t + k + 1 + k/t)/4, convex
+    with its minimum at t = sqrt(k); the integers around it compare exactly.
+    """
+    require(k >= 2, "k must be at least 2")
+    s = math.isqrt(k)
+    return max(
+        range(max(0, (s - 1) // 2), s // 2 + 2),
+        key=lambda r: Fraction(2 * (2 * r + 1), (r + 1) * (k + 2 * r + 1)),
+    )
+
+
+class InequalityCheck(NamedTuple):
+    lhs: Fraction
+    rhs: Fraction
+    holds: bool
+
+
+def unfortunate_inequality(Q: RationalPoly, k: int) -> InequalityCheck:
+    """The strict bound capping the ratio: for Q != 0 with Q(0) = 0,
+
+        int y^(k-2)/(k-2)! Q(1-y)^2 dy  <  (4/k) int y^(k-1)/(k-1)! Q'(1-y)^2 dy.
+
+    Returns exact rational (lhs, rhs, lhs < rhs); rhs includes the 4/k
+    factor.  Both sides scale by c^2 under Q -> cQ, so holds is
+    scale-invariant.
+    """
+    require(k >= 2, "k must be at least 2")
+    require(not Q.is_zero, "invalid-Q: polynomial is identically zero")
+    require(Q(Fraction(0)) == 0, "invalid-Q: need Q(0) = 0")
+    lhs = weighted_square_integral(Q, k - 2)
+    rhs = Fraction(4, k) * weighted_square_integral(Q.deriv(), k - 1)
+    return InequalityCheck(lhs, rhs, lhs < rhs)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .errors import require
@@ -33,6 +32,9 @@ _LI_DPS = 30
 
 @lru_cache(maxsize=512)
 def _li_cached(x: float) -> float:
+    # imported here so that only the commands that need li load mpmath
+    import mpmath
+
     with mpmath.workdps(_LI_DPS):
         return float(mpmath.li(x, offset=True))
 

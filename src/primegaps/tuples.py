@@ -196,15 +196,23 @@ class HLCount(NamedTuple):
     predicted: float
 
 
+# hl_count ANDs the shifted indicator slices this many entries (1 MiB) at a
+# time, so it holds one block beside the indicator, not a second indicator.
+_COUNT_BLOCK = 1 << 20
+
+
 def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     """Exact count of n <= x with every n + h_j prime, next to the
     Hardy-Littlewood prediction S(H) x / (log x)^k."""
     require(x >= 3, "x must be at least 3")
     ind = prime_indicator(0, x + H.offsets[-1] + 1)
-    acc = ind[H.offsets[0] + 1 : H.offsets[0] + x + 1].copy()
-    for h in H.offsets[1:]:
-        acc &= ind[h + 1 : h + x + 1]
-    actual = int(acc.sum())
+    actual = 0
+    for lo in range(1, x + 1, _COUNT_BLOCK):
+        hi = min(lo + _COUNT_BLOCK, x + 1)
+        acc = ind[lo + H.offsets[0] : hi + H.offsets[0]].copy()
+        for h in H.offsets[1:]:
+            acc &= ind[lo + h : hi + h]
+        actual += int(np.count_nonzero(acc))
     ss = singular_series(H, L)
     predicted = ss.value * x / math.log(x) ** H.k
     return HLCount(actual, predicted)

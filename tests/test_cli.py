@@ -237,7 +237,7 @@ def test_gpy_experiment_checks_level_before_building_weights(monkeypatch, capsys
     def refuse(*args):
         raise AssertionError("weights built before the level check")
 
-    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    monkeypatch.setattr("primegaps.gpy.build_weights", refuse)
     argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e4", "--R", "200000"]
     assert main(argv) == 2
     assert "level-too-large" in capsys.readouterr().err
@@ -247,8 +247,8 @@ def test_gpy_experiment_bounds_degree_before_building_polynomial(monkeypatch, ca
     def refuse(*args):
         raise AssertionError("polynomial or weights built before the degree check")
 
-    monkeypatch.setattr("primegaps.cli.PolynomialSpec.power", refuse)
-    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    monkeypatch.setattr("primegaps.polys.PolynomialSpec.power", refuse)
+    monkeypatch.setattr("primegaps.gpy.build_weights", refuse)
     argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e4", "--r", "1e8"]
     assert main(argv) == 2
     assert "degree k+r 100000002 beyond budget" in capsys.readouterr().err
@@ -261,7 +261,7 @@ def test_gpy_experiment_bounds_profile_before_building_weights(monkeypatch, caps
     def refuse(*args):
         raise AssertionError("weights built before the profile check")
 
-    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    monkeypatch.setattr("primegaps.gpy.build_weights", refuse)
     # the profile holds x + 1 float64s: 8 GB at x = 1e9
     argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e9"]
     assert main(argv) == 2
@@ -279,7 +279,7 @@ def test_gpy_experiment_bounds_series_level_before_building_weights(monkeypatch,
     def refuse(*args):
         raise AssertionError("weights built before the level check")
 
-    monkeypatch.setattr("primegaps.cli.build_weights", refuse)
+    monkeypatch.setattr("primegaps.gpy.build_weights", refuse)
     # the asymptotics take S(H) at L = h_k = 1e10, so k*L = 2e10
     argv = ["gpy-experiment", "--offsets", "0,10000000000", "--x", "1e4"]
     assert main(argv) == 2
@@ -298,8 +298,8 @@ def test_inequality_scan_bounds_work_before_any_row(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("scan row built before the work check")
 
-    monkeypatch.setattr("primegaps.cli.RationalPoly", refuse)
-    monkeypatch.setattr("primegaps.cli.unfortunate_inequality", refuse)
+    monkeypatch.setattr("primegaps.polys.RationalPoly", refuse)
+    monkeypatch.setattr("primegaps.polys.unfortunate_inequality", refuse)
     argv = ["inequality-scan", "--k-max", "1000", "--m-max", "300"]
     assert main(argv) == 2
     assert "scan work 479520000 beyond budget" in capsys.readouterr().err
@@ -318,7 +318,7 @@ def test_bv_scan_sensitivity_checks_doubled_grid_before_scanning(monkeypatch, ca
     def refuse(*args):
         raise AssertionError("scanned before the doubled grid was checked")
 
-    monkeypatch.setattr("primegaps.cli.bv_scan", refuse)
+    monkeypatch.setattr("primegaps.progressions.bv_scan", refuse)
     argv = ["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "40", "--sensitivity"]
     assert main(argv) == 2
     assert "--sensitivity" in capsys.readouterr().err
@@ -411,7 +411,7 @@ def test_negative_seed_exits_2_before_any_work(argv, handler, monkeypatch, capsy
     def refuse(*args):
         raise AssertionError("work started before the seed was checked")
 
-    monkeypatch.setattr(f"primegaps.cli.{handler}", refuse)
+    monkeypatch.setattr(f"primegaps.gaps.{handler}", refuse)
     code, out = run_cli(argv)
     assert code == 2
     assert out == ""

@@ -54,6 +54,23 @@ def test_histogram_conservation_against_iter_gaps():
     assert hist.max_gap_at_p == worst_p
 
 
+@pytest.mark.parametrize("block", [1, 2, 7, 1000])
+def test_histogram_blocks_match_one_pass(block, monkeypatch):
+    # reference: every gap of the sequence normalized and binned in one pass
+    seq = primes_between(3, 10**5)
+    edges = default_bin_edges()
+    diffs = np.diff(seq)
+    log_p = np.log(seq[:-1].astype(np.float64))
+    stat = diffs / np.square(log_p)
+    i = int(stat.argmax())
+    idx = np.minimum(np.searchsorted(edges, diffs / log_p, side="right") - 1, len(edges) - 1)
+    monkeypatch.setattr(gaps, "_GAP_BLOCK", block)
+    hist = gaps._histogram_of_sequence(seq, edges)
+    assert hist.counts.tolist() == np.bincount(idx, minlength=len(edges)).tolist()
+    assert hist.total == len(seq) - 1
+    assert (hist.max_gap_over_log_sq, hist.max_gap_at_p) == (float(stat[i]), int(seq[i]))
+
+
 def test_histogram_validation():
     with pytest.raises(PreconditionError):
         gap_histogram(2, 100)                 # x_lo below 3

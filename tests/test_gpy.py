@@ -24,13 +24,12 @@ from primegaps.gpy import (
     _PROFILE_BLOCK,
     _divisor_residues,
     _weight_profile,
-    best_power_r,
     f_of,
     g_of,
     mobius,
     quadratic_forms,
 )
-from primegaps.polys import weighted_square_integral
+from primegaps.polys import best_power_r, weighted_square_integral
 
 from conftest import naive_factorize
 

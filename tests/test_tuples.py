@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegaps import OffsetTuple, gallagher_average, prime_count, singular_series
+from primegaps import tuples
 from primegaps.errors import BudgetExceededError, PreconditionError
 from primegaps.tuples import SingularSeriesValue, hl_count, is_admissible, nu
 from primegaps.sieve import primes_upto
@@ -181,6 +182,19 @@ def test_hl_count_inadmissible():
     res = hl_count(OffsetTuple((0, 1)), 100)
     assert res.actual == 1          # only n = 2 gives the pair 2, 3
     assert res.predicted == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64, 1018, 1019])
+def test_hl_count_counts_each_n_once_at_any_block_size(block, monkeypatch):
+    # blocks far smaller than x put block edges among the primes themselves;
+    # x = 1019 starts a twin pair, so the last n counts too
+    monkeypatch.setattr(tuples, "_COUNT_BLOCK", block)
+    for offsets in ((0,), (0, 2), (0, 2, 6), (0, 4, 6, 10)):
+        expected = sum(
+            1 for n in range(1, 1020)
+            if all(trial_division_is_prime(n + h) for h in offsets)
+        )
+        assert hl_count(OffsetTuple(offsets), 1019).actual == expected
 
 
 def test_hl_count_twin_published_1e8():
