@@ -34,6 +34,9 @@ MAX_SAMPLES = 100_000_000
 MAX_CRAMER = 200_000_000
 MAX_BV_MODULI = 100_000
 SUBSET_BUDGET = 10_000_000
+# gpy-experiment adds weights into x + 1 profile entries, one streamed block
+# at a time: this bounds its work, not its memory
+MAX_PROFILE = 250_000_000
 # build_weights evaluates P, of degree k + r, once per squarefree d <= R
 MAX_POLY_DEGREE = 1_000
 # one inequality-scan row (k, m) costs about k + 2m big-rational steps
@@ -311,11 +314,9 @@ def _cmd_gpy_experiment(args):
     from .tuples import OffsetTuple, default_truncation
 
     H = OffsetTuple.parse(args.offsets)
-    # the weight profile holds x + 1 float64s; MAX_SIEVE_SPAN bytes is what
-    # a bool indicator of MAX_SIEVE_SPAN entries takes
-    profile = 8 * (args.x + 1)
-    _guard(args.force, profile <= MAX_SIEVE_SPAN,
-           f"weight profile of {profile} bytes beyond budget")
+    profile = args.x + 1
+    _guard(args.force, profile <= MAX_PROFILE,
+           f"weight profile of {profile} entries beyond budget")
     R = args.R if args.R is not None else max(2, math.isqrt(math.isqrt(args.x)))
     require_level(R, args.x)
     degree = H.k + args.r

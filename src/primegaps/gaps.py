@@ -79,6 +79,32 @@ class GapHistogram:
 _GAP_BLOCK = 1 << 17
 
 
+def _uniform_bins(edges: np.ndarray):
+    """The bin index function of uniform edges from 0: i for t in
+    [edges[i], edges[i+1]), and len(edges) - 1 for t >= edges[-1].
+
+    t * scale lands within one bin of t's own, so one step down and one
+    step up against the edges themselves make it exact; this gives the
+    counts of searchsorted(edges, t, side="right") - 1 without its binary
+    search."""
+    last = len(edges) - 1
+    scale = last / edges[-1]
+    require(
+        edges[0] == 0.0
+        and np.allclose(edges * scale, np.arange(last + 1), rtol=0.0, atol=1e-6),
+        "bin edges must be uniform from 0",
+    )
+    ext = np.append(edges, np.inf)
+
+    def bins(t: np.ndarray) -> np.ndarray:
+        idx = np.minimum(t * scale, last).astype(np.intp)
+        idx -= t < edges[idx]
+        idx += t >= ext[idx + 1]
+        return idx
+
+    return bins
+
+
 def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
     """Histogram the gaps of the ascending seq, each normalized by log p.
 
@@ -86,6 +112,7 @@ def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
     gives the same counts and, with a strict > across blocks, the same
     first p attaining the largest gap/(log p)^2 as one pass over it."""
     counts = np.zeros(len(edges), dtype=np.int64)
+    bins = _uniform_bins(edges)
     worst, worst_p = math.nan, None
     for lo in range(0, len(seq) - 1, _GAP_BLOCK):
         block = seq[lo : lo + _GAP_BLOCK + 1]
@@ -98,9 +125,7 @@ def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
         if worst_p is None or stat[i] > worst:
             worst, worst_p = float(stat[i]), int(block[i])
         normalized = np.divide(gaps, log_p, out=stat)
-        idx = np.searchsorted(edges, normalized, side="right") - 1
-        np.minimum(idx, len(edges) - 1, out=idx)
-        counts += np.bincount(idx, minlength=len(edges))
+        counts += np.bincount(bins(normalized), minlength=len(edges))
     return GapHistogram(edges, counts, len(seq) - 1, worst, worst_p)
 
 

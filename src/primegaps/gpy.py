@@ -23,14 +23,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import LevelTooLargeError, require
 from .polys import PolynomialSpec, weighted_square_integral
 from .progressions import euler_phi
-from .sieve import factorize, prime_indicator
+from .sieve import factorize, prime_indicator, sieve_range
 from .tuples import OffsetTuple, nu, singular_series
 
 
@@ -160,28 +160,116 @@ def _divisor_residues(d: int, H: OffsetTuple) -> np.ndarray:
     return np.flatnonzero(prodmod == 0)
 
 
-# The weight profile takes its strided adds one block of this many float64s
-# (1 MiB) at a time, so the block stays in cache across every divisor.
+# A _PairwiseSum leaf, and so a weight profile block, holds at most this
+# many float64s (1 MiB): the block stays in cache across every divisor.
 _PROFILE_BLOCK = 1 << 17
 
 
-def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> np.ndarray:
-    """S[n - x] = sum of lambda_d over d dividing (n+h_1)...(n+h_k).
+def _split(n: int) -> int:
+    """Length of the first half where numpy's pairwise summation splits a
+    range of n > 128 floats."""
+    half = n // 2
+    return half - half % 8
+
+
+def _leaf_sizes(n: int) -> list[int]:
+    """Lengths of the ranges, in order, where the tree of _split halves
+    over n floats first reaches _PROFILE_BLOCK or fewer.  All but the last
+    are multiples of 8."""
+    if n <= _PROFILE_BLOCK:
+        return [n] if n else []
+    h = _split(n)
+    return _leaf_sizes(h) + _leaf_sizes(n - h)
+
+
+def _add_up(n: int, sums: Iterator[float]) -> float:
+    """Add the leaf sums of n floats, in order, back up the same tree."""
+    if n <= _PROFILE_BLOCK:
+        return next(sums) if n else 0.0
+    h = _split(n)
+    return _add_up(h, sums) + _add_up(n - h, sums)
+
+
+class _PairwiseSum:
+    """a.sum() for a float64 array a of n entries that arrive in order, in
+    pieces of any length, holding at most one leaf of them at a time.
+
+    numpy sums a contiguous float64 array pairwise: a range of more than 128
+    entries splits at _split(n), and each half sums on its own exactly as
+    it would as an array by itself.  Cutting that tree at leaves of at most
+    _PROFILE_BLOCK entries, reducing each leaf with np.add.reduce and adding
+    the halves back up along the tree therefore gives a.sum() bit for bit
+    (tests/test_gpy.py pins this against the installed numpy).  A piece
+    must not change after it is added.
+    """
+
+    def __init__(self, n: int):
+        self._n = n
+        self._leaves = _leaf_sizes(n)
+        self._sums: list[float] = []
+        self._parts: list[np.ndarray] = []
+        self._filled = 0
+
+    def add(self, piece: np.ndarray) -> None:
+        while piece.size:
+            need = self._leaves[len(self._sums)] - self._filled
+            head, piece = piece[:need], piece[need:]
+            self._parts.append(head)
+            self._filled += head.size
+            if head.size == need:
+                parts = self._parts
+                leaf = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                self._sums.append(np.add.reduce(leaf))
+                self._parts, self._filled = [], 0
+
+    def total(self) -> float:
+        require(len(self._sums) == len(self._leaves), "fewer entries added than announced")
+        return float(_add_up(self._n, iter(self._sums)))
+
+
+def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndarray]:
+    """S[n - x] = sum of lambda_d over d dividing (n+h_1)...(n+h_k), in
+    consecutive new arrays covering [x, 2x], one per summation leaf
+    (_leaf_sizes(x + 1)).
 
     Each n lies in one class mod d, so it receives lambda_d at most once
     per d, in ascending d within every block: the same float sum as the
     per-n reference detector_a in tests/test_gpy.py."""
+    # d = 1 heads the support and divides every product, and 0.0 +
+    # lambda_1 is lambda_1, so each block starts out filled with it
     adds = [
         (d, w.lam[d], (r - x) % d)
-        for d in w.support
+        for d in w.support[1:]
         for r in _divisor_residues(d, H).tolist()
     ]
-    S = np.zeros(x + 1, dtype=np.float64)
-    for lo in range(0, x + 1, _PROFILE_BLOCK):
-        block = S[lo : lo + _PROFILE_BLOCK]
+    lo = 0
+    for size in _leaf_sizes(x + 1):
+        block = np.full(size, w.lam[1])
         for d, lam, first in adds:
             block[(first - lo) % d :: d] += lam
-    return S
+        yield block
+        lo += size
+
+
+# The numerator range is sieved this many profile blocks (at most 1 MiB of
+# odd flags) at a time: measured near 3e7, as fast as whole sieve segments
+# at an eighth of their memory.
+_SIEVE_RUN = 16
+
+
+def _odd_prime_flags(lo: int, sizes: list[int]) -> Iterator[np.ndarray]:
+    """Primality of the odd integers in each of the consecutive runs of
+    the given lengths from lo, in order; every length but the last is
+    even."""
+    for g in range(0, len(sizes), _SIEVE_RUN):
+        group = sizes[g : g + _SIEVE_RUN]
+        span = sum(group)
+        odd = sieve_range(lo, lo + span).odd
+        i = 0
+        for size in group:
+            yield odd[i : i + (size + lo % 2) // 2]
+            i += size // 2
+        lo += span
 
 
 def require_level(R: int, x: int) -> None:
@@ -214,29 +302,42 @@ def quadratic_forms(
     """Sums of a(n) over x <= n <= 2x, their quadratic forms and asymptotics.
 
     Returns (denominator,) for k = 1 and (denominator, numerator) for
-    k >= 2, all from one weight profile.  The denominator runs over every
-    n: form_value = x * sum f([d1,d2])/[d1,d2] lambda_d1 lambda_d2, and the
-    asymptotic is x/(log R)^k * S(H) * integral_0^1 y^(k-1)/(k-1)! *
-    P^(k)(1-y)^2 dy.  The numerator runs over n with n + h_j prime (j is
-    1-based): form_value = x/log x * sum g([d1,d2])/phi([d1,d2]) lambda
-    lambda, and the asymptotic is x/((log x)(log R)^(k-1)) * S(H) *
-    integral_0^1 y^(k-2)/(k-2)! P^(k-1)(1-y)^2 dy.
+    k >= 2, all from one pass over the weight profile.  The denominator
+    runs over every n: form_value = x * sum f([d1,d2])/[d1,d2] lambda_d1
+    lambda_d2, and the asymptotic is x/(log R)^k * S(H) * integral_0^1
+    y^(k-1)/(k-1)! * P^(k)(1-y)^2 dy.  The numerator runs over n with
+    n + h_j prime (j is 1-based): form_value = x/log x * sum
+    g([d1,d2])/phi([d1,d2]) lambda lambda, and the asymptotic is
+    x/((log x)(log R)^(k-1)) * S(H) * integral_0^1 y^(k-2)/(k-2)!
+    P^(k-1)(1-y)^2 dy.
     """
     require(x >= 4, "x too small")
     require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
     require_level(w.R, x)
-    S = _weight_profile(w, H, x)
-    num = ()
+    # the profile blocks are this sum's leaves, so it reduces each in place
+    den = _PairwiseSum(x + 1)
+    num = None
     if H.k >= 2:
-        # the numerator reads S before the denominator squares it in place
+        # numpy's summation tree over the n with n + h_j prime is set by how
+        # many there are, so count them before the one pass; lo > 2, so
+        # every prime in range is odd
         h_j = H.offsets[j - 1]
-        sel = S[prime_indicator(x + h_j, 2 * x + h_j + 1)]
-        direct = float(np.square(sel, out=sel).sum())
-        form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
-        num = (FormEvaluation(direct, form_value, _asymptotic(w, H, x, 1), j=j),)
-    direct = float(np.square(S, out=S).sum())
+        lo = x + h_j
+        sizes = _leaf_sizes(x + 1)
+        num = _PairwiseSum(sum(int(np.count_nonzero(f)) for f in _odd_prime_flags(lo, sizes)))
+        flags = _odd_prime_flags(lo, sizes)
+        odd_at = 1 - lo % 2  # block offset of the first odd n + h_j
+    for block in _weight_profile(w, H, x):
+        np.square(block, out=block)
+        den.add(block)
+        if num is not None:
+            num.add(block[odd_at + 2 * np.flatnonzero(next(flags))])
     form_value = x * _pair_sum(w, lambda D: f_of(D, H), lambda D: D)
-    return (FormEvaluation(direct, form_value, _asymptotic(w, H, x, 0)),) + num
+    forms = (FormEvaluation(den.total(), form_value, _asymptotic(w, H, x, 0)),)
+    if num is not None:
+        form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
+        forms += (FormEvaluation(num.total(), form_value, _asymptotic(w, H, x, 1), j=j),)
+    return forms
 
 
 def _asymptotic(w: WeightScheme, H: OffsetTuple, x: int, s: int) -> float:

@@ -262,11 +262,11 @@ def test_gpy_experiment_bounds_profile_before_building_weights(monkeypatch, caps
         raise AssertionError("weights built before the profile check")
 
     monkeypatch.setattr("primegaps.gpy.build_weights", refuse)
-    # the profile holds x + 1 float64s: 8 GB at x = 1e9
+    # the profile has x + 1 entries
     argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e9"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "weight profile of 8000000008 bytes" in err and "--force" in err
+    assert "weight profile of 1000000001 entries" in err and "--force" in err
     assert main(["gpy-experiment", "--offsets", "0,2", "--x", "250000000"]) == 2
     # the largest x within budget, and --force, reach the (refusing) builder
     for accepted in (["gpy-experiment", "--offsets", "0,2", "--x", "249999999"],

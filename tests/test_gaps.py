@@ -54,6 +54,11 @@ def test_histogram_conservation_against_iter_gaps():
     assert hist.max_gap_at_p == worst_p
 
 
+def searchsorted_bins(t, edges):
+    """Referee: the bin of each t by binary search, overflow last."""
+    return np.minimum(np.searchsorted(edges, t, side="right") - 1, len(edges) - 1)
+
+
 @pytest.mark.parametrize("block", [1, 2, 7, 1000])
 def test_histogram_blocks_match_one_pass(block, monkeypatch):
     # reference: every gap of the sequence normalized and binned in one pass
@@ -63,12 +68,39 @@ def test_histogram_blocks_match_one_pass(block, monkeypatch):
     log_p = np.log(seq[:-1].astype(np.float64))
     stat = diffs / np.square(log_p)
     i = int(stat.argmax())
-    idx = np.minimum(np.searchsorted(edges, diffs / log_p, side="right") - 1, len(edges) - 1)
+    idx = searchsorted_bins(diffs / log_p, edges)
     monkeypatch.setattr(gaps, "_GAP_BLOCK", block)
     hist = gaps._histogram_of_sequence(seq, edges)
     assert hist.counts.tolist() == np.bincount(idx, minlength=len(edges)).tolist()
     assert hist.total == len(seq) - 1
     assert (hist.max_gap_over_log_sq, hist.max_gap_at_p) == (float(stat[i]), int(seq[i]))
+
+
+EDGES = default_bin_edges()
+
+
+# t * scale falls one bin high on some edges of the default set and one
+# bin low on some of 0.3 and 1/3 steps, so each correction is exercised
+@pytest.mark.parametrize("edges", [EDGES, np.round(np.arange(10) * 0.3, 10), np.arange(41) / 3])
+@given(data=st.data())
+def test_uniform_bins_match_searchsorted(edges, data):
+    near_edge = st.builds(
+        lambda e, k: float(e + k * np.spacing(e if e else 1.0)),
+        st.sampled_from(edges.tolist()), st.integers(-4, 4),
+    )
+    drawn = data.draw(st.lists(near_edge | st.floats(0.0, 1e9), max_size=50))
+    # every edge, the next float each side of it, and values past the last
+    t = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, 4.0, 5.0, 1e9], np.asarray(drawn, dtype=np.float64),
+    ])
+    assert gaps._uniform_bins(edges)(t).tolist() == searchsorted_bins(t, edges).tolist()
+
+
+def test_uniform_bins_refuse_non_uniform_edges():
+    for edges in (np.array([0.0, 0.1, 0.3]), EDGES + 0.05):
+        with pytest.raises(PreconditionError):
+            gaps._uniform_bins(edges)
 
 
 def test_histogram_validation():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,10 +21,12 @@ from primegaps import (
     mobius_log_identity,
     unfortunate_inequality,
 )
+import primegaps
 from primegaps import cli, gpy
 from primegaps.errors import LevelTooLargeError, PreconditionError
 from primegaps.gpy import (
     _PROFILE_BLOCK,
+    _PairwiseSum,
     _divisor_residues,
     _weight_profile,
     f_of,
@@ -30,6 +35,7 @@ from primegaps.gpy import (
     quadratic_forms,
 )
 from primegaps.polys import best_power_r, weighted_square_integral
+from primegaps.sieve import prime_indicator
 
 from conftest import naive_factorize
 
@@ -255,6 +261,11 @@ def test_pair_sums_take_local_factors_once_per_support_element(monkeypatch):
     assert all(0 < n <= len(w.lam) for n in calls.values()), calls
 
 
+def whole_profile(w, H, x):
+    """The streamed weight profile's blocks, concatenated."""
+    return np.concatenate(list(_weight_profile(w, H, x)))
+
+
 @pytest.mark.parametrize(
     "offsets, r, R, x",
     [((0, 2), 0, 9, 5000), ((0, 2, 6), 1, 13, 3001), ((0, 4, 6, 10), 2, 11, 2003)],
@@ -263,7 +274,7 @@ def test_weight_profile_squares_equal_detector(offsets, r, R, x):
     # bit for bit: P(y) = y^2, y^4, y^6; each lambda_d added once, ascending d
     H = OffsetTuple(offsets)
     w = build_weights(PolynomialSpec.power(H.k, r), R)
-    profile = _weight_profile(w, H, x)
+    profile = whole_profile(w, H, x)
     expected = np.array([detector_a(n, H, w) for n in range(x, 2 * x + 1)])
     assert np.array_equal(profile**2, expected)
 
@@ -284,21 +295,84 @@ def test_blocked_profile_matches_unblocked(offsets, r):
     B = _PROFILE_BLOCK
     for x in (B - 1, B, B + 1, 3 * B + 5):
         w = build_weights(PolynomialSpec.power(H.k, r), math.isqrt(math.isqrt(x)))
-        got = _weight_profile(w, H, x)
+        got = whole_profile(w, H, x)
         assert got.tobytes() == unblocked_profile(w, H, x).tobytes(), x
 
 
 @pytest.mark.parametrize("offsets", ["0", "0,2", "0,4,6"])
 def test_gpy_experiment_builds_one_profile(monkeypatch, offsets):
-    calls = []
+    calls, entries = [], []
 
     def counted(*args):
         calls.append(args[2])
-        return _weight_profile(*args)
+        for block in _weight_profile(*args):
+            entries.append(block.size)
+            yield block
 
     monkeypatch.setattr(gpy, "_weight_profile", counted)
     assert cli.main(["gpy-experiment", "--offsets", offsets, "--x", "20000"]) == 0
-    assert calls == [20000]
+    assert calls == [20000] and sum(entries) == 20001
+
+
+# A child's ru_maxrss starts at the high-water mark of the process that
+# spawned it (vfork, then exec), so a small stdlib driver spawns each
+# command, away from what this test process has held.
+PEAK_DRIVER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "primegaps.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+assert status == 0, status
+print(usage.ru_maxrss)
+"""
+
+
+def peak_rss_kib(*argv):
+    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_DRIVER, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_gpy_experiment_peak_is_flat_in_x():
+    # a whole-array profile would add 8 bytes per unit of x: 48 MB here
+    small, large = (peak_rss_kib("gpy-experiment", "--offsets", "0,2", "--x", x)
+                    for x in ("2e6", "8e6"))
+    assert abs(large - small) < 8 * 1024, (small, large)
+
+
+B = _PROFILE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 7, 8, 127, 128, 129, B - 1, B, B + 1, 2 * B + 8, 999_983, 3 * 10**6 + 1]
+)
+def test_pairwise_sum_equals_numpy_sum(n):
+    # magnitudes from 1e-8 to 1e8, so a summation tree other than numpy's
+    # own would round differently; fed in uneven pieces, some empty
+    rng = np.random.default_rng(n)
+    a = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+    total = _PairwiseSum(n)
+    for piece in np.split(a, np.sort(rng.integers(0, n + 1, 12))):
+        total.add(piece)
+    assert total.total().hex() == float(a.sum()).hex()
+
+
+@pytest.mark.parametrize("offsets, r", [((0, 2), 0), ((0, 4, 6), 1)])
+@pytest.mark.parametrize("x", [B - 1, 3 * B + 4, 2_300_001])
+def test_streamed_forms_equal_whole_array_sums(offsets, r, x):
+    # x + h_j both odd and even; 2_300_001 spans 32 profile blocks, so the
+    # numerator crosses a sieve run
+    H = OffsetTuple(offsets)
+    w = build_weights(PolynomialSpec.power(H.k, r), math.isqrt(math.isqrt(x)))
+    sq = unblocked_profile(w, H, x) ** 2
+    for j, h in enumerate(H.offsets, 1):
+        den, num = quadratic_forms(w, H, x, j)
+        assert den.direct_sum.hex() == float(sq.sum()).hex()
+        primes = prime_indicator(x + h, 2 * x + h + 1)
+        assert num.direct_sum.hex() == float(sq[primes].sum()).hex(), j
 
 
 def test_numerator_below_denominator():
