@@ -2,8 +2,8 @@
 
 Every run is deterministic for a fixed argument list (the default seed is
 the constant 0, never the clock), so identical invocations produce
-byte-identical files.  Validation failures exit 2 naming the violated
-precondition; runtime failures (overflow, budgets, I/O) exit 1.
+byte-identical files.  Validation failures and refused sizes exit 2, before
+any work, naming the violated precondition; runtime failures (overflow, I/O) exit 1.
 
 Each handler imports the layers it runs when it runs, so a process loads
 only what its subcommand needs: gpy-ratio and inequality-scan start without
@@ -23,14 +23,14 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExceededError, PreconditionError, require
+from .errors import PreconditionError, RangeTooLargeError, require
 
 DEFAULT_SEED = 0
 OUTDIR_ENV = "PRIMEGAPS_OUTDIR"
 
 # refuse-by-default work limits; --force overrides
 MAX_SIEVE_SPAN = 2_000_000_000
-MAX_SAMPLES = 100_000_000
+MAX_SAMPLES = 10_000_000  # about 32 bytes of peak memory each
 MAX_CRAMER = 200_000_000
 MAX_BV_MODULI = 100_000
 SUBSET_BUDGET = 10_000_000
@@ -53,7 +53,7 @@ def parse_exact_int(text: str) -> int:
         d = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if d != d.to_integral_value():
+    if not d.is_finite() or d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an exact integer: {text!r}")
     return int(d)
 
@@ -274,10 +274,15 @@ def _cmd_hl_count(args):
 def _cmd_gallagher(args):
     from .tuples import default_truncation, gallagher_average
 
-    budget = None if args.force else SUBSET_BUDGET
     L = args.L if args.L is not None else default_truncation(args.h, args.k)
     _guard_level(args.force, args.k, L)
-    res = gallagher_average(args.k, args.h, L, budget=budget)
+    # binomial(h - j + i, i) grows with i and passes 10^7 within 14 steps;
+    # a k outside [1, h] leaves j < 1, for gallagher_average's own checks
+    j, c = min(args.k, args.h - args.k), 1
+    beyond = any((c := c * (args.h - j + i) // i) > SUBSET_BUDGET for i in range(1, j + 1))
+    _guard(args.force, not beyond,
+           f"binomial({args.h}, {args.k}) beyond the {SUBSET_BUDGET} subset budget")
+    res = gallagher_average(args.k, args.h, L)
     row = {"k": args.k, "h": args.h, "L": L, **res._asdict()}
     return list(row), [row], _meta(args, k=args.k, h=args.h, L=L)
 
@@ -451,14 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker threads for the modulus scans of bv-scan and "
                              "montgomery (other subcommands accept and ignore it); "
                              "output is identical at any value >= 1")
-    common.add_argument("--force", action="store_true",
-                        help="override the size guardrails")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded.add_argument("--force", action="store_true",
+                         help="override the size guardrails")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[guarded])
     seeded.add_argument("--seed", type=parse_seed, default=DEFAULT_SEED,
                         help=f"RNG seed (default {DEFAULT_SEED}, never the clock)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_parser(name, handler, help, parent=common):
+    def add_parser(name, handler, help, parent=guarded):
         sp = sub.add_parser(name, parents=[parent], help=help)
         sp.set_defaults(handler=handler)
         return sp
@@ -475,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("cramer", _cmd_cramer, "Bernoulli simulation of the prime indicator", seeded)
     sp.add_argument("--n-max", type=parse_exact_int, required=True)
 
-    sp = add_parser("longgap", _cmd_longgap, "factorial/primorial composite runs")
+    sp = add_parser("longgap", _cmd_longgap, "factorial/primorial composite runs", common)
     sp.add_argument("--kind", choices=("factorial", "primorial"), required=True)
     sp.add_argument("--m", type=parse_exact_int, required=True)
 
@@ -494,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=parse_exact_int, required=True)
     sp.add_argument("--L", type=parse_exact_int, default=None)
 
-    sp = add_parser("gpy-ratio", _cmd_gpy_ratio, "detection ratio: closed form or general P")
+    sp = add_parser("gpy-ratio", _cmd_gpy_ratio, "detection ratio: closed form or general P",
+                    common)
     sp.add_argument("--k", type=parse_exact_int, required=True)
     sp.add_argument("--r", type=parse_exact_int, default=0)
     sp.add_argument("--theta", type=float, required=True)
@@ -549,7 +556,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"primegaps: invalid arguments: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, OverflowError, OSError) as exc:
+    except (RangeTooLargeError, OverflowError, OSError) as exc:
         print(f"primegaps: runtime failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,9 @@
 """Error types shared across the package.
 
-Validation failures (bad arguments, violated preconditions) raise
-PreconditionError; the CLI maps those to exit code 2.  Resource-limit
-failures occurring at run time (enumeration budgets, refused sieve spans)
-raise BudgetExceededError and map to exit code 1, like the builtin
-OverflowError used for 64-bit range violations.
+PreconditionError marks a bad argument or a violated precondition, and the
+CLI's size guardrails raise it too: exit code 2.  RangeTooLargeError refuses
+a single sieve call beyond its span cap; like OverflowError (64-bit range
+violations) it is a runtime failure, exit code 1.
 """
 
 
@@ -20,11 +19,7 @@ class LevelTooLargeError(PreconditionError):
     """Sieve level R is too large for the requested interval (R^2 >= x)."""
 
 
-class BudgetExceededError(RuntimeError):
-    """A configured enumeration or memory budget would be exceeded."""
-
-
-class RangeTooLargeError(BudgetExceededError):
+class RangeTooLargeError(RuntimeError):
     """A single sieve call asked for more than the configured span.
 
     Callers that need a larger range should iterate segments instead.

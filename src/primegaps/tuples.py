@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, require
+from .errors import require
 from .sieve import is_prime, prime_indicator, primes_upto
 
 
@@ -205,6 +205,8 @@ def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     """Exact count of n <= x with every n + h_j prime, next to the
     Hardy-Littlewood prediction S(H) x / (log x)^k."""
     require(x >= 3, "x must be at least 3")
+    # the series checks L before the indicator is allocated
+    ss = singular_series(H, L)
     ind = prime_indicator(0, x + H.offsets[-1] + 1)
     actual = 0
     for lo in range(1, x + 1, _COUNT_BLOCK):
@@ -213,7 +215,6 @@ def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
         for h in H.offsets[1:]:
             acc &= ind[lo + h : hi + h]
         actual += int(np.count_nonzero(acc))
-    ss = singular_series(H, L)
     predicted = ss.value * x / math.log(x) ** H.k
     return HLCount(actual, predicted)
 
@@ -224,9 +225,7 @@ class GallagherAverage(NamedTuple):
     ratio: float
 
 
-def gallagher_average(
-    k: int, h: int, L: int | None = None, budget: int | None = 10_000_000
-) -> GallagherAverage:
+def gallagher_average(k: int, h: int, L: int | None = None) -> GallagherAverage:
     """Average of S over all k-subsets of [1, h] against their plain count.
 
     lhs sums singular-series values (inadmissible subsets contribute 0),
@@ -242,10 +241,6 @@ def gallagher_average(
         L = default_truncation(h, k)
     require(L >= max(h, 2 * k), f"L-too-small: need L >= max(h, 2k) = {max(h, 2 * k)}")
     rhs = math.comb(h, k)
-    if budget is not None and rhs > budget:
-        raise BudgetExceededError(
-            f"binomial({h}, {k}) = {rhs} exceeds the {budget} subset budget"
-        )
     translates = ((0, *rest) for rest in itertools.combinations(range(1, h), k - 1))
     lhs = math.fsum(
         term

@@ -11,13 +11,19 @@ import pytest
 
 import primegaps
 from primegaps import progressions
-from primegaps.cli import MAX_BV_MODULI, build_parser, emit, main, parse_exact_int
+from primegaps.cli import (
+    MAX_BV_MODULI, MAX_CRAMER, MAX_SAMPLES, MAX_SIEVE_SPAN, SUBSET_BUDGET, build_parser,
+    emit, main, parse_exact_int,
+)
 
 ALL_SUBCOMMANDS = [
     "gaps", "intervals", "cramer", "longgap", "tuple", "hl-count", "gallagher",
     "gpy-ratio", "gpy-experiment", "inequality-scan", "ap-table", "bv-scan",
     "montgomery",
 ]
+
+# the subcommands without a size guardrail, and so without --force
+UNGUARDED = ("longgap", "gpy-ratio")
 
 # small, fast argument sets used for determinism runs
 FAST_ARGS = {
@@ -51,8 +57,11 @@ def test_every_subcommand_has_help():
     for cmd in ALL_SUBCOMMANDS:
         code, out = run_cli([cmd, "--help"])
         assert code == 0
-        for flag in ("--out", "--format", "--threads", "--force"):
+        for flag in ("--out", "--format", "--threads"):
             assert flag in out, (cmd, flag)
+        assert ("--force" in out) == (cmd not in UNGUARDED), cmd
+    for cmd in UNGUARDED:
+        assert run_cli([cmd, *FAST_ARGS[cmd], "--force"]) == (2, ""), cmd
 
 
 def test_parser_covers_exactly_the_published_subcommands():
@@ -233,6 +242,33 @@ def test_guardrail_refuses_oversized_without_force(capsys):
         assert "--force" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, entry", [
+    (["intervals", "--x", str(MAX_SIEVE_SPAN // 2 + 1), "--n-samples", "10"],
+     "gaps.interval_count_distribution"),
+    (["intervals", "--x", "1000", "--n-samples", str(MAX_SAMPLES + 1)],
+     "gaps.interval_count_distribution"),
+    (["cramer", "--n-max", str(MAX_CRAMER + 1)], "gaps.cramer_simulate"),
+    (["hl-count", "--offsets", "0,2", "--x", str(MAX_SIEVE_SPAN - 1)], "tuples.hl_count"),
+    (["ap-table", "--x", str(MAX_SIEVE_SPAN + 1), "--q", "12"], "progressions.error_table"),
+    (["bv-scan", "--x", str(MAX_SIEVE_SPAN + 1), "--q-max", "20"], "progressions.bv_scan"),
+    (["bv-scan", "--x", "1e6", "--q-max", str(MAX_BV_MODULI + 1)], "progressions.bv_scan"),
+    (["montgomery", "--x", str(MAX_SIEVE_SPAN + 1), "--q-max", "20"],
+     "progressions.montgomery_ratios"),
+], ids=["intervals-2x", "intervals-samples", "cramer", "hl-count-x", "ap-table-x",
+        "bv-scan-x", "bv-scan-q", "montgomery-x"])
+def test_guardrail_refuses_before_work_and_force_reaches_it(argv, entry, monkeypatch, capsys):
+    # the patch keeps a broken guard from running these sizes for real
+    def refuse(*args):
+        raise AssertionError("work started past the guardrail")
+
+    monkeypatch.setattr(f"primegaps.{entry}", refuse)
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "--force" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="past the guardrail"):
+        main([*argv, "--force"])
+
+
 def test_gpy_experiment_checks_level_before_building_weights(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("weights built before the level check")
@@ -349,12 +385,37 @@ def test_gaps_window_finds_published_maximal_gap(x_lo, p, gap):
     assert meta["max_gap_over_log_sq"] == float(f"{gap / math.log(p) ** 2:.12g}")
 
 
-def test_budget_error_exits_1(capsys):
-    # without --force the CLI hands its subset budget to the library, whose
-    # refusal is a runtime failure: exit 1
-    code = main(["gallagher", "--k", "8", "--h", "5000", "--L", "10000"])
-    assert code == 1
-    assert "budget" in capsys.readouterr().err.lower()
+def test_gallagher_subset_cap_exits_2_before_any_work(monkeypatch, capsys):
+    # k outside [1, h] passes the guard to the library's own checks
+    for k, h, message in (("0", "5", "k must be at least 1"),
+                          ("3", "2", "h must be at least k"),
+                          ("-1", "5", "k must be at least 1")):
+        assert main(["gallagher", "--k", k, "--h", h]) == 2
+        assert message in capsys.readouterr().err
+
+    def refuse(*args):
+        raise AssertionError("subsets averaged past the guardrail")
+
+    monkeypatch.setattr("primegaps.tuples.gallagher_average", refuse)
+    argv = ["gallagher", "--k", "8", "--h", "5000", "--L", "10000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{SUBSET_BUDGET} subset budget" in err and "--force" in err
+    with pytest.raises(AssertionError, match="past the guardrail"):
+        main([*argv, "--force"])
+    # the cap sits between binomial(31, 8) = 7888725 and binomial(32, 8) = 10518300
+    assert main(["gallagher", "--k", "8", "--h", "32"]) == 2
+    with pytest.raises(AssertionError, match="past the guardrail"):
+        main(["gallagher", "--k", "8", "--h", "31"])
+
+
+def test_hl_count_checks_L_before_sieving(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("indicator sieved before the L check")
+
+    monkeypatch.setattr("primegaps.tuples.prime_indicator", refuse)
+    assert main(["hl-count", "--offsets", "0,2", "--x", "1e8", "--L", "3"]) == 2
+    assert "L-too-small" in capsys.readouterr().err
 
 
 def test_overflow_exits_1(capsys):
@@ -392,6 +453,11 @@ def test_scientific_notation_rejects_fractions():
         parse_exact_int("1.5")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_exact_int("abc")
+    for text in ("inf", "Infinity", "-inf", "nan", "snan"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_exact_int(text)
+    # through the parser, a non-finite integer exits 2 without a traceback
+    assert run_cli(["gaps", "--x-hi=-inf"])[0] == 2
 
 
 def test_json_meta_records_seed_used():

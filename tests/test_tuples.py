@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from primegaps import OffsetTuple, gallagher_average, prime_count, singular_series
 from primegaps import tuples
-from primegaps.errors import BudgetExceededError, PreconditionError
+from primegaps.errors import PreconditionError
 from primegaps.tuples import SingularSeriesValue, hl_count, is_admissible, nu
 from primegaps.sieve import primes_upto
 from primegaps.tuples import default_truncation
@@ -239,11 +239,6 @@ def test_gallagher_k2_trend(baseline):
     assert abs(ratios[500] - 1) < abs(ratios[250] - 1)
     assert abs(ratios[1000] - 1) < abs(ratios[500] - 1)
     assert 0.9 <= ratios[1000] <= 1.1
-
-
-def test_gallagher_budget():
-    with pytest.raises(BudgetExceededError):
-        gallagher_average(5, 1000, budget=1000)
 
 
 def test_gallagher_L_too_small():
