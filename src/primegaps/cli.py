@@ -23,7 +23,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import __version__
-from .errors import PreconditionError, RangeTooLargeError, require
+from .errors import PreconditionError, require
 
 DEFAULT_SEED = 0
 OUTDIR_ENV = "PRIMEGAPS_OUTDIR"
@@ -44,17 +44,19 @@ MAX_SCAN_WORK = 1_000_000
 
 
 def parse_exact_int(text: str) -> int:
-    """Integer argument, accepting scientific notation like 1e8 exactly."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    """Integer argument, accepting scientific notation like 1e8 exactly.
+
+    A size of 2^64 or more is refused before it is expanded to an int,
+    which takes seconds at 1e200000: no subcommand can use one.
+    """
     try:
         d = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if not d.is_finite() or d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an exact integer: {text!r}")
+    if not -(1 << 64) < d < 1 << 64:
+        raise argparse.ArgumentTypeError(f"integer beyond 64 bits: {text!r}")
     return int(d)
 
 
@@ -305,9 +307,9 @@ def _cmd_gpy_ratio(args):
         ratio = gpy_ratio_general(_parse_poly(args.coeffs, args.k), args.k, args.theta)
         meta = _meta(args, k=args.k, theta=args.theta, coeffs=args.coeffs)
     else:
-        r, method = args.r, "closed-form"
-        ratio = gpy_ratio(args.k, args.r, args.theta)
-        meta = _meta(args, k=args.k, r=args.r, theta=args.theta)
+        r, method = args.r or 0, "closed-form"
+        ratio = gpy_ratio(args.k, r, args.theta)
+        meta = _meta(args, k=args.k, r=r, theta=args.theta)
         meta["best_r"] = best_power_r(args.k)
     row = {"k": args.k, "r": r, "theta": args.theta, "ratio": ratio, "method": method}
     return list(row), [row], meta
@@ -503,10 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("gpy-ratio", _cmd_gpy_ratio, "detection ratio: closed form or general P",
                     common)
     sp.add_argument("--k", type=parse_exact_int, required=True)
-    sp.add_argument("--r", type=parse_exact_int, default=0)
     sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--coeffs", default=None,
-                    help="optional P coefficients c0,c1,... (low order first)")
+    # default None, so that an explicit --r 0 still conflicts with --coeffs
+    poly = sp.add_mutually_exclusive_group()
+    poly.add_argument("--r", type=parse_exact_int, default=None,
+                      help="closed form for P(y) = y^(k+r) (default r = 0)")
+    poly.add_argument("--coeffs", default=None,
+                      help="P coefficients c0,c1,... (low order first), instead of --r")
 
     sp = add_parser("gpy-experiment", _cmd_gpy_experiment,
                     "direct sums vs quadratic forms vs asymptotics")
@@ -556,7 +561,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"primegaps: invalid arguments: {exc}", file=sys.stderr)
         return 2
-    except (RangeTooLargeError, OverflowError, OSError) as exc:
+    except (OverflowError, OSError) as exc:
         print(f"primegaps: runtime failure: {exc}", file=sys.stderr)
         return 1
 

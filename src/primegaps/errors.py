@@ -1,29 +1,15 @@
-"""Error types shared across the package.
+"""The package's one error type.
 
-PreconditionError marks a bad argument or a violated precondition, and the
-CLI's size guardrails raise it too: exit code 2.  RangeTooLargeError refuses
-a single sieve call beyond its span cap; like OverflowError (64-bit range
-violations) it is a runtime failure, exit code 1.
+Every refusal is a PreconditionError raised through require: a bad
+argument, a violated precondition (an empty gap window, a level with
+R^2 >= x, a sieve span past one segment), or a size the CLI's guardrails
+refuse.  The CLI maps it to exit code 2; exit code 1 is left to runtime
+failures (OverflowError, OSError).
 """
 
 
 class PreconditionError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class EmptyRangeError(PreconditionError):
-    """A range that was required to contain primes is empty."""
-
-
-class LevelTooLargeError(PreconditionError):
-    """Sieve level R is too large for the requested interval (R^2 >= x)."""
-
-
-class RangeTooLargeError(RuntimeError):
-    """A single sieve call asked for more than the configured span.
-
-    Callers that need a larger range should iterate segments instead.
-    """
 
 
 def require(condition: bool, message: str) -> None:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import EmptyRangeError, PreconditionError, require
+from .errors import PreconditionError, require
 from .sieve import next_prime, prime_indicator, primes_between, primes_upto
 
 # Reference constants for the limsup of gap/(log p)^2: the random model
@@ -139,8 +139,7 @@ def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
     require(x_lo >= 3, "x_lo must be at least 3")
     require(x_hi > x_lo, "empty range")
     seq = primes_between(x_lo, next_prime(x_hi - 1) + 1)
-    if len(seq) < 2:
-        raise EmptyRangeError(f"no primes in [{x_lo}, {x_hi})")
+    require(len(seq) >= 2, f"no primes in [{x_lo}, {x_hi})")
     return _histogram_of_sequence(seq, default_bin_edges())
 
 

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import LevelTooLargeError, require
+from .errors import require
 from .polys import PolynomialSpec, weighted_square_integral
 from .progressions import euler_phi
 from .sieve import factorize, prime_indicator, sieve_range
@@ -273,9 +273,8 @@ def _odd_prime_flags(lo: int, sizes: list[int]) -> Iterator[np.ndarray]:
 
 
 def require_level(R: int, x: int) -> None:
-    """Refuse a sieve level with R^2 >= x (LevelTooLargeError)."""
-    if R * R >= x:
-        raise LevelTooLargeError(f"level-too-large: need R^2 < x, got R={R}, x={x}")
+    """Refuse a sieve level with R^2 >= x."""
+    require(R * R < x, f"level-too-large: need R^2 < x, got R={R}, x={x}")
 
 
 def _pair_sum(w: WeightScheme, num, den) -> float:

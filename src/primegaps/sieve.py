@@ -14,12 +14,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import RangeTooLargeError, require
+from .errors import require
 
-# A single sieve_range call accepts spans up to MAX_RANGE; iter_segments
-# streams longer ranges in segments of SEGMENT_SIZE, large enough that the
+# A single sieve_range call spans at most SEGMENT_SIZE; iter_segments
+# streams longer ranges in segments of that size, large enough that the
 # per-segment base-prime setup cost stays negligible.
-MAX_RANGE = 1 << 26
 SEGMENT_SIZE = 1 << 24
 
 _U64_MAX = (1 << 64) - 1
@@ -146,16 +145,13 @@ def sieve_range(lo: int, hi: int) -> SieveSegment:
 
     The flags start as the presieved wheel pattern; only the primes from
     17 up to sqrt(hi) strike, each from its first odd multiple >= max(p^2,
-    lo) in steps of 2p.  Raises RangeTooLargeError when hi - lo exceeds
-    MAX_RANGE; iterate iter_segments for longer ranges.
+    lo) in steps of 2p.  Refuses a span hi - lo beyond SEGMENT_SIZE with
+    a PreconditionError; iterate iter_segments for longer ranges.
     """
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
     require(hi <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
-    if hi - lo > MAX_RANGE:
-        raise RangeTooLargeError(
-            f"span {hi - lo} exceeds the {MAX_RANGE} single-call budget; "
-            "iterate segments instead"
-        )
+    require(hi - lo <= SEGMENT_SIZE, f"span {hi - lo} exceeds the {SEGMENT_SIZE} "
+            "single-call budget; iterate segments instead")
     o = lo | 1
     odd = _presieved(((o - 1) // 2) % _PERIOD, (hi - o + 1) // 2)
     for p in _WHEEL:

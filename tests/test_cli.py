@@ -53,6 +53,14 @@ def run_cli(argv) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def run_cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m primegaps.cli argv` in a child that imports this copy of the package."""
+    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "primegaps.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
 def test_every_subcommand_has_help():
     for cmd in ALL_SUBCOMMANDS:
         code, out = run_cli([cmd, "--help"])
@@ -423,6 +431,26 @@ def test_overflow_exits_1(capsys):
     assert code == 1
 
 
+def test_unwritable_out_exits_1_without_temporary_file(tmp_path, capsys):
+    # a missing directory fails before the temporary file exists, an
+    # existing directory as the target only when it is renamed into place
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "missing" / "run.csv", tmp_path / "taken"):
+        code, stdout = run_cli(["longgap", "--kind", "factorial", "--m", "5", "--out", str(out)])
+        assert code == 1
+        assert stdout == ""
+        assert "runtime failure" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
+def test_errors_module_defines_one_exception_class():
+    from primegaps import errors
+
+    classes = [v for v in vars(errors).values() if isinstance(v, type)]
+    assert classes == [errors.PreconditionError]
+
+
 def test_write_and_rerun_byte_identical(tmp_path):
     path = tmp_path / "out.json"
     argv = ["bv-scan", "--x", "2000", "--q-max", "10", "--checkpoints", "8",
@@ -458,6 +486,52 @@ def test_scientific_notation_rejects_fractions():
             parse_exact_int(text)
     # through the parser, a non-finite integer exits 2 without a traceback
     assert run_cli(["gaps", "--x-hi=-inf"])[0] == 2
+
+
+def test_integers_refused_past_64_bits():
+    import argparse
+
+    for text in ("18446744073709551615", "-18446744073709551615", "1e19", "1.8e19"):
+        assert abs(parse_exact_int(text)) < 2**64
+    for text in ("18446744073709551616", "-18446744073709551616", "1.8446744073709551616e19",
+                 "1e20", "-1e20", "1e2000000", "9" * 5000):
+        with pytest.raises(argparse.ArgumentTypeError, match="beyond 64 bits"):
+            parse_exact_int(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaps", "--x-hi", "1e5000"],
+    ["cramer", "--n-max", "1e5000"],
+    ["cramer", "--n-max", "10", "--seed", "1e20"],
+    ["longgap", "--kind", "factorial", "--m", "1e5000"],
+    ["gallagher", "--k", "1e2200", "--h", "1e2200", "--L", "1e2200"],
+], ids=["gaps", "cramer", "seed", "longgap", "gallagher"])
+def test_oversized_integer_exits_2_when_parsed(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "beyond 64 bits" in err
+    assert "Traceback" not in err
+
+
+def test_huge_exponent_exits_2_at_once_from_a_fresh_process():
+    proc = run_cli_process(["gaps", "--x-hi", "1e2000000"], timeout=30)
+    assert proc.returncode == 2
+    assert "beyond 64 bits" in proc.stderr
+
+
+def test_gpy_ratio_refuses_r_with_coeffs(capsys):
+    # an explicit --r 0, the closed form's default, conflicts too
+    for r in ("1", "0"):
+        code, out = run_cli(["gpy-ratio", "--k", "7", "--r", r, "--theta", "0.5",
+                             "--coeffs", "0,0,0,0,0,0,0,0,1"])
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in capsys.readouterr().err
+    # without --r the closed form still records r = 0
+    code, out = run_cli(["gpy-ratio", "--k", "7", "--theta", "0.5", "--format", "json"])
+    assert json.loads(out)["meta"]["parameters"]["r"] == 0
 
 
 def test_json_meta_records_seed_used():
@@ -508,13 +582,6 @@ def test_emit_real_formatting():
 
 
 def test_console_entry_point_subprocess():
-    # the child imports the same copy of the package as this process
-    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "primegaps.cli", "gpy-ratio", "--k", "7", "--r", "1",
-         "--theta", "0.5"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = run_cli_process(["gpy-ratio", "--k", "7", "--r", "1", "--theta", "0.5"])
     assert proc.returncode == 0
     assert "0.15" in proc.stdout

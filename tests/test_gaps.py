@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from primegaps import CramerConfig, OffsetTuple, cramer_simulate, gap_histogram
 from primegaps import gaps, sieve
-from primegaps.errors import EmptyRangeError, PreconditionError
+from primegaps.errors import PreconditionError
 from primegaps.gaps import (
     exponential_bin_mass,
     interval_count_distribution,
@@ -106,7 +106,7 @@ def test_uniform_bins_refuse_non_uniform_edges():
 def test_histogram_validation():
     with pytest.raises(PreconditionError):
         gap_histogram(2, 100)                 # x_lo below 3
-    with pytest.raises(EmptyRangeError):
+    with pytest.raises(PreconditionError, match=r"no primes in \[24, 29\)"):
         gap_histogram(24, 29)
 
 

@@ -23,7 +23,7 @@ from primegaps import (
 )
 import primegaps
 from primegaps import cli, gpy
-from primegaps.errors import LevelTooLargeError, PreconditionError
+from primegaps.errors import PreconditionError
 from primegaps.gpy import (
     _PROFILE_BLOCK,
     _PairwiseSum,
@@ -386,7 +386,7 @@ def test_numerator_below_denominator():
 def test_level_too_large():
     H = OffsetTuple((0, 2))
     w = build_weights(PolynomialSpec.power(2, 0), 40)
-    with pytest.raises(LevelTooLargeError):
+    with pytest.raises(PreconditionError, match=r"level-too-large: need R\^2 < x, got R=40, x=1600"):
         quadratic_forms(w, H, 1600)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import primegaps
 from primegaps import prime_count, sieve_range
-from primegaps.errors import PreconditionError, RangeTooLargeError
+from primegaps.errors import PreconditionError
 from primegaps.sieve import (
     factorize,
     is_prime,
@@ -20,7 +20,7 @@ from primegaps.sieve import (
     primes_between,
     primes_upto,
 )
-from primegaps.sieve import MAX_RANGE, SEGMENT_SIZE
+from primegaps.sieve import SEGMENT_SIZE
 
 from conftest import naive_factorize, naive_sieve_count, trial_division_primes
 
@@ -42,8 +42,8 @@ def test_sieve_range_validation():
         sieve_range(5, 5)
     with pytest.raises(PreconditionError):
         sieve_range(-1, 10)
-    with pytest.raises(RangeTooLargeError):
-        sieve_range(0, MAX_RANGE + 1)
+    with pytest.raises(PreconditionError, match="single-call budget"):
+        sieve_range(0, SEGMENT_SIZE + 1)
 
 
 def test_prime_count_examples():
