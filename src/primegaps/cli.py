@@ -375,7 +375,6 @@ def _cmd_inequality_scan(args):
 
 def _cmd_ap_table(args):
     from .progressions import error_table
-    from .sieve import primes_upto
 
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     _guard(args.force, args.q <= MAX_BV_MODULI, "q beyond budget")
@@ -384,7 +383,7 @@ def _cmd_ap_table(args):
     meta = _meta(args, x=args.x, q=args.q)
     meta["max_abs_error"] = table.max_abs_error
     meta["phi_q"] = len(table.records)
-    meta["pi_x"] = len(primes_upto(args.x))
+    meta["pi_x"] = table.pi_x
     meta["residual_classes_note"] = (
         "classes a with gcd(a,q)>1 hold at most the one prime dividing q"
     )

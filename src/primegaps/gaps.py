@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import PreconditionError, require
-from .sieve import next_prime, prime_indicator, primes_between, primes_upto
+from .sieve import SieveSegment, iter_segments, iter_windows, next_prime, primes_upto
 
 # Reference constants for the limsup of gap/(log p)^2: the random model
 # predicts 1; the corrected heuristic gives at least 2 e^{-gamma}.
@@ -74,8 +76,8 @@ class GapHistogram:
         return float(self.counts[:idx].sum() / self.total)
 
 
-# _histogram_of_sequence takes the gaps of this many primes at a time, so its
-# float64 temporaries are 1 MiB each, not the size of the whole sequence.
+# _histogram_of_runs takes the gaps of this many primes at a time, so its
+# float64 temporaries are 1 MiB each, whatever the length of a run.
 _GAP_BLOCK = 1 << 17
 
 
@@ -105,17 +107,21 @@ def _uniform_bins(edges: np.ndarray):
     return bins
 
 
-def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
-    """Histogram the gaps of the ascending seq, each normalized by log p.
+def _histogram_of_runs(runs: Iterable[np.ndarray], edges: np.ndarray) -> GapHistogram:
+    """Histogram the gaps of the ascending runs, taken in turn as one
+    sequence, each gap normalized by log p at its lower end.
 
-    Each value is computed elementwise, so taking the sequence in blocks
-    gives the same counts and, with a strict > across blocks, the same
-    first p attaining the largest gap/(log p)^2 as one pass over it."""
+    The last element of each nonempty run is carried to the next, so the
+    gap across the seam counts once.  Each value is computed elementwise,
+    so taking the sequence in runs and blocks gives the same counts and,
+    with a strict > across blocks, the same first p attaining the largest
+    gap/(log p)^2 as one pass over it."""
     counts = np.zeros(len(edges), dtype=np.int64)
     bins = _uniform_bins(edges)
-    worst, worst_p = math.nan, None
-    for lo in range(0, len(seq) - 1, _GAP_BLOCK):
-        block = seq[lo : lo + _GAP_BLOCK + 1]
+    total, worst, worst_p = 0, math.nan, None
+
+    def add(block: np.ndarray) -> None:
+        nonlocal counts, total, worst, worst_p
         gaps = np.diff(block)
         log_p = np.log(block[:-1].astype(np.float64))
         # gap / (log p)^2 and then gap / log p share one buffer
@@ -126,21 +132,34 @@ def _histogram_of_sequence(seq: np.ndarray, edges: np.ndarray) -> GapHistogram:
             worst, worst_p = float(stat[i]), int(block[i])
         normalized = np.divide(gaps, log_p, out=stat)
         counts += np.bincount(bins(normalized), minlength=len(edges))
-    return GapHistogram(edges, counts, len(seq) - 1, worst, worst_p)
+        total += len(gaps)
+
+    last = None
+    for run in runs:
+        if len(run) == 0:
+            continue
+        if last is not None:
+            add(np.array([last, run[0]]))
+        for lo in range(0, len(run) - 1, _GAP_BLOCK):
+            add(run[lo : lo + _GAP_BLOCK + 1])
+        last = run[-1]
+        del run  # freed before the next run is made, not after
+    return GapHistogram(edges, counts, total, worst, worst_p)
 
 
 def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
     """Histogram the normalized gap of every prime in [x_lo, x_hi).
 
     Each prime contributes its true gap: the window is sieved through the
-    least prime >= x_hi, the successor of its last prime.  Normalization
-    divides by log p at the lower endpoint.
+    least prime >= x_hi, the successor of its last prime, one segment's
+    primes at a time.  Normalization divides by log p at the lower endpoint.
     """
     require(x_lo >= 3, "x_lo must be at least 3")
     require(x_hi > x_lo, "empty range")
-    seq = primes_between(x_lo, next_prime(x_hi - 1) + 1)
-    require(len(seq) >= 2, f"no primes in [{x_lo}, {x_hi})")
-    return _histogram_of_sequence(seq, default_bin_edges())
+    segments = iter_segments(x_lo, next_prime(x_hi - 1) + 1)
+    hist = _histogram_of_runs(map(SieveSegment.primes, segments), default_bin_edges())
+    require(hist.total >= 1, f"no primes in [{x_lo}, {x_hi})")
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -177,51 +196,93 @@ def _interval_lengths(starts: np.ndarray) -> np.ndarray:
     return np.floor(np.log(starts.astype(np.float64))).astype(np.int64)
 
 
+def _longest_interval(x: int) -> int:
+    """T = floor(log 2x), the length of the interval at the largest start 2x."""
+    return int(_interval_lengths(np.array([2 * x]))[0])
+
+
+def _require_interval_args(x: int, n_samples: int, seed: int) -> None:
+    require(x >= 100, "x must be at least 100")
+    require(n_samples >= 1, "need at least one sample")
+    require(seed >= 0, "seed must be nonnegative")
+
+
+def _interval_stats(
+    windows: Iterable[tuple[int, np.ndarray]], x: int, n_samples: int, seed: int
+) -> IntervalCountStats:
+    """The interval statistics from windows (lo, ind) of a 0/1 indicator.
+
+    ind[m - lo] marks m as (simulated or real) prime for m in [lo, hi + T),
+    where T = floor(log 2x) bounds every interval length, so the window
+    holds every interval starting in [lo, hi); the start ranges [lo, hi)
+    of the windows must be disjoint and cover [x, 2x].
+
+    The interval of n reaches n + t exactly when n >= b_t, the least start
+    in [x, 2x] of length floor(log n) >= t, found by bisection since the
+    length never decreases in n.  So with the drawn starts sorted once,
+    each count is a sum of shifted gathers ind[n + t] over a suffix of
+    each window's starts, and no prefix-count table is built; the counts
+    go back to the order they were drawn in, so the mean and std sum them
+    as one pass would.  The exact mean swaps the two sums, counting the
+    primes n + t for n in [b_t, 2x].
+    """
+    T = _longest_interval(x)
+    first = [
+        bisect.bisect_left(
+            range(2 * x + 1), t, lo=x, key=lambda n: _interval_lengths(np.array([n]))[0]
+        )
+        for t in range(T + 1)
+    ]
+    starts = make_rng(seed).integers(x, 2 * x + 1, size=n_samples)
+    order = np.argsort(starts)
+    starts = starts[order]
+    reach = np.searchsorted(starts, first).tolist()  # starts[reach[t]:] reach n + t
+    counts = np.zeros(n_samples, dtype=np.int64)
+    total = 0
+    for lo, ind in windows:
+        hi = min(lo + len(ind) - T, 2 * x + 1)
+        i, j = np.searchsorted(starts, [lo, hi]).tolist()
+        for t, (b, r) in enumerate(zip(first, reach)):
+            k = max(i, r)
+            counts[k:j] += ind[starts[k:j] + (t - lo)]
+            if b < hi:
+                total += int(np.count_nonzero(ind[max(b, lo) - lo + t : hi - lo + t]))
+        del ind  # freed before the next window is sieved, not after
+    del starts
+    freq = np.bincount(counts)
+    fractions = {int(k): float(freq[k] / n_samples) for k in np.flatnonzero(freq)}
+    drawn = np.empty_like(counts)
+    drawn[order] = counts
+    return IntervalCountStats(
+        n_samples=n_samples,
+        fractions=fractions,
+        empirical_mean=float(drawn.mean()),
+        empirical_std=float(drawn.std()),
+        exact_mean=total / (x + 1),
+    )
+
+
 def interval_counts_from_indicator(
     ind: np.ndarray, x: int, n_samples: int, seed: int
 ) -> IntervalCountStats:
     """Interval-count statistics over an arbitrary 0/1 prime indicator.
 
     ind[m] marks m as (simulated or real) prime; sampled starts n come from
-    [x, 2x] and must satisfy n + log n < len(ind).  Each count is a sum of
-    shifted slices, ind[n + t] for t = 0..floor(log n), so no prefix-count
-    table is built.  The exact mean swaps the two sums: the starts whose
-    interval reaches n + t form a suffix [b, 2x] of [x, 2x], found by
-    bisection since the length never decreases in n.
+    [x, 2x] and must satisfy n + log n < len(ind).  The whole indicator is
+    the one window of _interval_stats.
     """
-    require(x >= 100, "x must be at least 100")
-    require(n_samples >= 1, "need at least one sample")
-    require(seed >= 0, "seed must be nonnegative")
+    _require_interval_args(x, n_samples, seed)
     require(2 * x + int(math.log(2 * x)) + 1 < len(ind), "indicator too short")
-    rng = make_rng(seed)
-    starts = rng.integers(x, 2 * x + 1, size=n_samples)
-    length = _interval_lengths(starts)
-    counts = np.zeros(n_samples, dtype=np.int64)
-    total = 0
-    for t in range(int(_interval_lengths(np.array([2 * x]))[0]) + 1):
-        counts += ind[starts + t] & (length >= t)
-        b = bisect.bisect_left(
-            range(2 * x + 1), t, lo=x, key=lambda n: _interval_lengths(np.array([n]))[0]
-        )
-        total += int(np.count_nonzero(ind[b + t : 2 * x + 1 + t]))
-    ks, freq = np.unique(counts, return_counts=True)
-    fractions = {int(k): float(c / n_samples) for k, c in zip(ks, freq)}
-    return IntervalCountStats(
-        n_samples=n_samples,
-        fractions=fractions,
-        empirical_mean=float(counts.mean()),
-        empirical_std=float(counts.std()),
-        exact_mean=total / (x + 1),
-    )
+    return _interval_stats([(0, ind)], x, n_samples, seed)
 
 
 def interval_count_distribution(x: int, n_samples: int, seed: int) -> IntervalCountStats:
-    """Frequencies of k primes in [n, n + log n] for random n in [x, 2x]."""
-    require(x >= 100, "x must be at least 100")
-    require(seed >= 0, "seed must be nonnegative")
-    hi = 2 * x + int(math.log(2 * x)) + 2
-    ind = prime_indicator(0, hi)
-    return interval_counts_from_indicator(ind, x, n_samples, seed)
+    """Frequencies of k primes in [n, n + log n] for random n in [x, 2x].
+
+    The starts [x, 2x] are sieved one window at a time, each extended by
+    the longest interval, floor(log 2x)."""
+    _require_interval_args(x, n_samples, seed)
+    return _interval_stats(iter_windows(x, 2 * x + 1, _longest_interval(x)), x, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -239,58 +300,86 @@ class CramerConfig:
         require(self.seed >= 0, "seed must be nonnegative")
 
 
+_CRAMER_CHUNK = 1 << 20
+
+
+def _cramer_chunks(cfg: CramerConfig) -> Iterator[tuple[int, np.ndarray, float, float]]:
+    """The seeded stream X(n) for 3 <= n <= n_max, one chunk at a time.
+
+    Yields (lo, hits, mean, var): hits[i] is X(lo + i), and mean and var
+    are the sums of p and of p(1 - p) over the chunk's probabilities
+    p = 1/log(lo + i).  The random stream is consumed in index order, so
+    the draws do not depend on the chunk size; the fixed size fixes how
+    the sums are split, so every replay gives the same floats.  Every
+    chunk computes in the same three buffers, so it allocates only hits."""
+    n = cfg.n_max
+    rng = make_rng(cfg.seed)
+    size = min(_CRAMER_CHUNK, n - 2)
+    steps = np.arange(size, dtype=np.float64)  # lo + steps is exact below 2^53
+    probs, draw = np.empty(size), np.empty(size)
+    for lo in range(3, n + 1, _CRAMER_CHUNK):
+        hi = min(lo + _CRAMER_CHUNK, n + 1)
+        p, d = probs[: hi - lo], draw[: hi - lo]
+        np.add(steps[: hi - lo], lo, out=p)
+        np.log(p, out=p)
+        np.reciprocal(p, out=p)
+        rng.random(out=d)
+        hits = d < p
+        # the draws are spent, so their buffer takes p(1 - p)
+        np.subtract(1.0, p, out=d)
+        d *= p
+        yield lo, hits, float(p.sum()), float(d.sum())
+
+
 @dataclass(frozen=True)
 class CramerResult:
     """A simulated indicator stream and its derived gap histogram.
 
     indicators[n] is the simulated primality of n (index 0 unused);
     X(1) = 0 and X(2) = 1 are fixed, X(n) for n >= 3 is an independent
-    Bernoulli(1/log n) draw from the seeded generator.
+    Bernoulli(1/log n) draw from the seeded generator.  The stream is not
+    kept: indicators replays it from config on every read.
     """
 
-    indicators: np.ndarray
+    config: CramerConfig
     simulated_count: int
     expected_count: float
     count_sigma: float
     histogram: GapHistogram
 
-
-_CRAMER_CHUNK = 1 << 20
+    @property
+    def indicators(self) -> np.ndarray:
+        ind = np.zeros(self.config.n_max + 1, dtype=bool)
+        ind[2] = True
+        for lo, hits, _, _ in _cramer_chunks(self.config):
+            ind[lo : lo + len(hits)] = hits
+        return ind
 
 
 def cramer_simulate(cfg: CramerConfig) -> CramerResult:
     """Simulate X(n) over n <= n_max; deterministic for a fixed seed.
 
-    The random stream is consumed in index order, so results do not depend
-    on internal chunking.  The derived histogram normalizes consecutive
-    simulated-prime gaps by log p; the final simulated prime has no
-    successor inside the stream and contributes no gap.
+    The derived histogram normalizes consecutive simulated-prime gaps by
+    log p, fed one chunk's positions at a time after the fixed prime 2;
+    the final simulated prime has no successor inside the stream and
+    contributes no gap.
     """
-    n = cfg.n_max
-    ind = np.zeros(n + 1, dtype=bool)
-    ind[2] = True
-    rng = make_rng(cfg.seed)
     expected_terms = []
     var_terms = []
-    for lo in range(3, n + 1, _CRAMER_CHUNK):
-        hi = min(lo + _CRAMER_CHUNK, n + 1)
-        probs = 1.0 / np.log(np.arange(lo, hi, dtype=np.float64))
-        ind[lo:hi] = rng.random(hi - lo) < probs
-        expected_terms.append(float(probs.sum()))
-        var_terms.append(float((probs * (1.0 - probs)).sum()))
-    expected = 1.0 + math.fsum(expected_terms)
-    sigma = math.sqrt(math.fsum(var_terms))
-    positions = np.flatnonzero(ind)
-    edges = default_bin_edges()
-    if len(positions) >= 2:
-        hist = _histogram_of_sequence(positions, edges)
-    else:
-        hist = GapHistogram(edges, np.zeros(len(edges), dtype=np.int64), 0)
+
+    def positions():
+        yield np.array([2])
+        for lo, hits, mean, var in _cramer_chunks(cfg):
+            expected_terms.append(mean)
+            var_terms.append(var)
+            yield np.flatnonzero(hits) + lo
+
+    hist = _histogram_of_runs(positions(), default_bin_edges())
     return CramerResult(
-        indicators=ind,
-        simulated_count=int(len(positions)),
-        expected_count=expected,
-        count_sigma=sigma,
+        config=cfg,
+        simulated_count=hist.total + 1,
+        expected_count=1.0 + math.fsum(expected_terms),
+        count_sigma=math.sqrt(math.fsum(var_terms)),
         histogram=hist,
     )
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require
-from .sieve import factorize, primes_upto
+from .sieve import factorize, iter_segments, primes_upto
 
 _LI_DPS = 30
 
@@ -91,6 +91,7 @@ class APErrorRecord:
 class ErrorTable(NamedTuple):
     records: list[APErrorRecord]
     max_abs_error: float
+    pi_x: int
 
 
 def _top_counts(primes: np.ndarray, ends, top: int) -> np.ndarray:
@@ -150,19 +151,22 @@ def _class_counts(primes: np.ndarray, ends, q_lo: int, q_hi: int, threads: int =
 def error_table(x: int, q: int) -> ErrorTable:
     """Per-residue errors for all reduced classes mod q, and E(x; q).
 
-    E(x; q) is the maximum |error| over residues a coprime to q."""
+    E(x; q) is the maximum |error| over residues a coprime to q.  The
+    primes are bincounted mod q one sieve segment at a time, so no table
+    of all the primes up to x is built; pi_x sums every class."""
     require(x >= 2, "x must be at least 2")
     require(q >= 1, "q must be positive")
-    primes = primes_upto(x)
-    C = _top_counts(primes, [len(primes)], q)
+    counts = np.zeros(q, dtype=np.int64)
+    for seg in iter_segments(0, x + 1):
+        counts += np.bincount(seg.primes() % q, minlength=q)
     reduced = _reduced_residues(q)
     expected = log_integral(x) / len(reduced)
     records = [
         APErrorRecord(q, a, c, expected, c - expected)
-        for a, c in zip(reduced.tolist(), C[0, reduced].tolist())
+        for a, c in zip(reduced.tolist(), counts[reduced].tolist())
     ]
     max_err = max(abs(rec.error) for rec in records)
-    return ErrorTable(records, max_err)
+    return ErrorTable(records, max_err, int(counts.sum()))
 
 
 # ---------------------------------------------------------------------------

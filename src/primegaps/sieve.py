@@ -202,6 +202,20 @@ def prime_indicator(lo: int, hi: int) -> np.ndarray:
     return _indicator(lo, hi, iter_segments(lo, hi))
 
 
+def iter_windows(lo: int, hi: int, overlap: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Cover [lo, hi) with the segments [start, end) of iter_segments and
+    yield (start, bitmap of [start, end + overlap)) for each: entry i marks
+    start + i prime.
+
+    Each window sieves its overlap again, so a consumer that looks up to
+    overlap past each position of [start, end) holds one window at a time,
+    never the whole range."""
+    require(0 <= lo < hi and overlap >= 0, f"need 0 <= lo < hi, overlap >= 0, got "
+            f"[{lo}, {hi}), {overlap}")
+    for start in range(lo, hi, SEGMENT_SIZE):
+        yield start, prime_indicator(start, min(start + SEGMENT_SIZE, hi) + overlap)
+
+
 def primes_between(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi) as an int64 array."""
     if hi <= max(lo, 2):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require
-from .sieve import is_prime, prime_indicator, primes_upto
+from .sieve import is_prime, iter_windows, primes_upto
 
 
 @dataclass(frozen=True)
@@ -196,25 +196,31 @@ class HLCount(NamedTuple):
     predicted: float
 
 
-# hl_count ANDs the shifted indicator slices this many entries (1 MiB) at a
-# time, so it holds one block beside the indicator, not a second indicator.
+# hl_count ANDs the shifted slices of each window this many entries (1 MiB)
+# at a time, so it holds one block beside the window, not a second window.
 _COUNT_BLOCK = 1 << 20
 
 
 def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     """Exact count of n <= x with every n + h_j prime, next to the
-    Hardy-Littlewood prediction S(H) x / (log x)^k."""
+    Hardy-Littlewood prediction S(H) x / (log x)^k.
+
+    The n are sieved one window at a time, each extended by h_k."""
     require(x >= 3, "x must be at least 3")
-    # the series checks L before the indicator is allocated
+    # the series checks L before any window is sieved
     ss = singular_series(H, L)
-    ind = prime_indicator(0, x + H.offsets[-1] + 1)
+    first, *rest = H.offsets
     actual = 0
-    for lo in range(1, x + 1, _COUNT_BLOCK):
-        hi = min(lo + _COUNT_BLOCK, x + 1)
-        acc = ind[lo + H.offsets[0] : hi + H.offsets[0]].copy()
-        for h in H.offsets[1:]:
-            acc &= ind[lo + h : hi + h]
-        actual += int(np.count_nonzero(acc))
+    for _, ind in iter_windows(1, x + 1, H.offsets[-1]):
+        # the window's first n_count entries are its n, the rest reach n + h_k
+        n_count = len(ind) - H.offsets[-1]
+        for lo in range(0, n_count, _COUNT_BLOCK):
+            hi = min(lo + _COUNT_BLOCK, n_count)
+            acc = ind[lo + first : hi + first].copy()
+            for h in rest:
+                acc &= ind[lo + h : hi + h]
+            actual += int(np.count_nonzero(acc))
+        del ind  # freed before the next window is sieved, not after
     predicted = ss.value * x / math.log(x) ** H.k
     return HLCount(actual, predicted)
 

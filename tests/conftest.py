@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import primegaps
 
 _BASELINE_PATH = pathlib.Path(__file__).with_name("_baselines.json")
 
@@ -117,3 +122,34 @@ def simpson_log_integral(x: float, n_panels: int) -> float:
     for i in range(1, 2 * n_panels):
         total += (4.0 if i % 2 else 2.0) * f(lo + i * h)
     return total * h / 3.0
+
+
+# ---------------------------------------------------------------------------
+# peak memory of one CLI command in a fresh process
+
+# A child's ru_maxrss starts at the high-water mark of the process that
+# spawned it (vfork, then exec), so a small stdlib driver spawns each
+# command, away from what this test process has held.
+PEAK_DRIVER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "primegaps.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+assert status == 0, status
+print(usage.ru_maxrss)
+"""
+
+
+def package_env() -> dict:
+    """The environment of a child process that imports this copy of the package."""
+    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def peak_rss_kib(*argv):
+    """Peak RSS in KiB of `primegaps *argv` run from this copy of the package."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_DRIVER, *argv], capture_output=True,
+                          text=True, env=package_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)

@@ -9,12 +9,13 @@ from concurrent import futures
 
 import pytest
 
-import primegaps
 from primegaps import progressions
 from primegaps.cli import (
     MAX_BV_MODULI, MAX_CRAMER, MAX_SAMPLES, MAX_SIEVE_SPAN, SUBSET_BUDGET, build_parser,
     emit, main, parse_exact_int,
 )
+
+from conftest import package_env, peak_rss_kib
 
 ALL_SUBCOMMANDS = [
     "gaps", "intervals", "cramer", "longgap", "tuple", "hl-count", "gallagher",
@@ -55,10 +56,8 @@ def run_cli(argv) -> tuple[int, str]:
 
 def run_cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
     """`python -m primegaps.cli argv` in a child that imports this copy of the package."""
-    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "primegaps.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), **kwargs)
+                          text=True, env=package_env(), **kwargs)
 
 
 def test_every_subcommand_has_help():
@@ -421,9 +420,25 @@ def test_hl_count_checks_L_before_sieving(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("indicator sieved before the L check")
 
-    monkeypatch.setattr("primegaps.tuples.prime_indicator", refuse)
+    monkeypatch.setattr("primegaps.tuples.iter_windows", refuse)
     assert main(["hl-count", "--offsets", "0,2", "--x", "1e8", "--L", "3"]) == 2
     assert "L-too-small" in capsys.readouterr().err
+
+
+# Sizes past one sieve window (2^24) on both sides, where a whole array of
+# the old code grew by more than 20 MB from x to 2x: the indicator of
+# hl-count (x bytes) and intervals (2x bytes), cramer's n_max + 1 bools and
+# their positions, and the int64 primes below x that gaps and ap-table held.
+@pytest.mark.parametrize("argv, x", [
+    (["gaps", "--x-hi"], 40_000_000),
+    (["hl-count", "--offsets", "0,2", "--x"], 40_000_000),
+    (["intervals", "--n-samples", "1000", "--x"], 20_000_000),
+    (["cramer", "--n-max"], 25_000_000),
+    (["ap-table", "--q", "30", "--x"], 40_000_000),
+], ids=["gaps", "hl-count", "intervals", "cramer", "ap-table"])
+def test_streamed_peak_is_flat_in_x(argv, x):
+    small, large = (peak_rss_kib(*argv, str(size)) for size in (x, 2 * x))
+    assert abs(large - small) < 8 * 1024, (small, large)
 
 
 def test_overflow_exits_1(capsys):

@@ -59,21 +59,41 @@ def searchsorted_bins(t, edges):
     return np.minimum(np.searchsorted(edges, t, side="right") - 1, len(edges) - 1)
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 1000])
-def test_histogram_blocks_match_one_pass(block, monkeypatch):
-    # reference: every gap of the sequence normalized and binned in one pass
-    seq = primes_between(3, 10**5)
-    edges = default_bin_edges()
+def one_pass_histogram(seq, edges):
+    """Referee: counts, total, largest gap/(log p)^2 and its first p, each
+    from the whole sequence at once."""
     diffs = np.diff(seq)
     log_p = np.log(seq[:-1].astype(np.float64))
     stat = diffs / np.square(log_p)
     i = int(stat.argmax())
-    idx = searchsorted_bins(diffs / log_p, edges)
+    counts = np.bincount(searchsorted_bins(diffs / log_p, edges), minlength=len(edges))
+    return counts.tolist(), len(diffs), float(stat[i]), int(seq[i])
+
+
+def histogram_tuple(hist):
+    return hist.counts.tolist(), hist.total, hist.max_gap_over_log_sq, hist.max_gap_at_p
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 1000])
+def test_histogram_blocks_match_one_pass(block, monkeypatch):
+    seq = primes_between(3, 10**5)
+    edges = default_bin_edges()
     monkeypatch.setattr(gaps, "_GAP_BLOCK", block)
-    hist = gaps._histogram_of_sequence(seq, edges)
-    assert hist.counts.tolist() == np.bincount(idx, minlength=len(edges)).tolist()
-    assert hist.total == len(seq) - 1
-    assert (hist.max_gap_over_log_sq, hist.max_gap_at_p) == (float(stat[i]), int(seq[i]))
+    # fed in uneven runs, some empty and some of one prime, so gaps also
+    # cross the seams between runs
+    runs = np.split(seq, [0, 1, 5, 5, 6, 1000, 1001, 4000])
+    assert histogram_tuple(gaps._histogram_of_runs(runs, edges)) == one_pass_histogram(seq, edges)
+
+
+@pytest.mark.parametrize("size", [8, 1000, 1 << 10])
+@pytest.mark.parametrize("x_lo, x_hi", [(3, 50_000), (1000, 20_011), (3, 4), (113, 120)])
+def test_gap_histogram_carries_across_segment_seams(x_lo, x_hi, size, monkeypatch):
+    # segments of 8 integers are often empty, and [113, 120) holds the one
+    # prime 113, whose gap reaches 127 in a later segment
+    seq = primes_between(x_lo, next_prime(x_hi - 1) + 1)
+    expected = one_pass_histogram(seq, default_bin_edges())
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    assert histogram_tuple(gap_histogram(x_lo, x_hi)) == expected
 
 
 EDGES = default_bin_edges()
@@ -267,11 +287,26 @@ def test_interval_stats_equal_prefix_count_referee_at_cli_sizes(x, n_samples, se
         ind, x, n_samples, seed)
 
 
+@pytest.mark.parametrize("size", [7, 1000, 1 << 10])
+def test_interval_stats_stream_across_window_seams(size, monkeypatch):
+    # [5000, 10000] holds e^9, so b_9 falls inside a window; 60000 draws
+    # land on every start, so on both sides of every seam; windows of 7
+    # starts are shorter than their overlap of floor(log 10000) = 9
+    x, n_samples, seed = 5000, 60_000, 1
+    assert len(np.unique(make_rng(seed).integers(x, 2 * x + 1, size=n_samples))) == x + 1
+    ind = prime_indicator(0, 2 * x + int(math.log(2 * x)) + 2)
+    expected = prefix_count_referee(ind, x, n_samples, seed)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    stats = interval_count_distribution(x, n_samples, seed)
+    got = stats.fractions, stats.empirical_mean, stats.empirical_std, stats.exact_mean
+    assert got == expected
+
+
 def test_negative_seed_refused_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("sieved before the seed was checked")
 
-    monkeypatch.setattr(gaps, "prime_indicator", refuse)
+    monkeypatch.setattr(gaps, "iter_windows", refuse)
     with pytest.raises(PreconditionError, match="seed"):
         interval_count_distribution(1000, 10, seed=-1)
     with pytest.raises(PreconditionError, match="seed"):
@@ -293,6 +328,31 @@ def test_cramer_determinism():
     a = cramer_simulate(CramerConfig(n_max=5000, seed=42))
     b = cramer_simulate(CramerConfig(n_max=5000, seed=42))
     assert np.array_equal(a.indicators, b.indicators)
+
+
+def whole_array_cramer(n_max, seed):
+    """Referee: every draw of the stream at once, 1/log n against one
+    uniform per n >= 3 in index order."""
+    ind = np.zeros(n_max + 1, dtype=bool)
+    ind[2] = True
+    probs = 1.0 / np.log(np.arange(3, n_max + 1, dtype=np.float64))
+    ind[3:] = make_rng(seed).random(n_max - 2) < probs
+    return ind
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 1 << 10])
+@pytest.mark.parametrize("n_max, seed", [(20_000, 0), (20_000, 3), (3, 1), (10, 2)])
+def test_cramer_chunks_replay_the_whole_array(n_max, seed, chunk, monkeypatch):
+    ind = whole_array_cramer(n_max, seed)
+    positions = np.flatnonzero(ind)
+    monkeypatch.setattr(gaps, "_CRAMER_CHUNK", chunk)
+    res = cramer_simulate(CramerConfig(n_max=n_max, seed=seed))
+    assert np.array_equal(res.indicators, ind)
+    assert res.simulated_count == len(positions)
+    if len(positions) >= 2:
+        assert histogram_tuple(res.histogram) == one_pass_histogram(positions, default_bin_edges())
+    else:
+        assert res.histogram.total == 0 and res.histogram.max_gap_at_p is None
 
 
 def test_cramer_expected_count_formula():

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +18,6 @@ from primegaps import (
     mobius_log_identity,
     unfortunate_inequality,
 )
-import primegaps
 from primegaps import cli, gpy
 from primegaps.errors import PreconditionError
 from primegaps.gpy import (
@@ -37,7 +33,7 @@ from primegaps.gpy import (
 from primegaps.polys import best_power_r, weighted_square_integral
 from primegaps.sieve import prime_indicator
 
-from conftest import naive_factorize
+from conftest import naive_factorize, peak_rss_kib
 
 
 def detector_a(n, H, w):
@@ -312,28 +308,6 @@ def test_gpy_experiment_builds_one_profile(monkeypatch, offsets):
     monkeypatch.setattr(gpy, "_weight_profile", counted)
     assert cli.main(["gpy-experiment", "--offsets", offsets, "--x", "20000"]) == 0
     assert calls == [20000] and sum(entries) == 20001
-
-
-# A child's ru_maxrss starts at the high-water mark of the process that
-# spawned it (vfork, then exec), so a small stdlib driver spawns each
-# command, away from what this test process has held.
-PEAK_DRIVER = """
-import os, subprocess, sys
-proc = subprocess.Popen([sys.executable, "-m", "primegaps.cli", *sys.argv[1:]],
-                        stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-assert status == 0, status
-print(usage.ru_maxrss)
-"""
-
-
-def peak_rss_kib(*argv):
-    package_root = os.path.dirname(os.path.dirname(primegaps.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PEAK_DRIVER, *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
 
 
 def test_gpy_experiment_peak_is_flat_in_x():

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primegaps
-from primegaps import prime_count, sieve_range
+from primegaps import prime_count, sieve, sieve_range
 from primegaps.errors import PreconditionError
 from primegaps.sieve import (
     factorize,
     is_prime,
     iter_segments,
+    iter_windows,
     next_prime,
     prime_indicator,
     primes_between,
@@ -154,6 +155,26 @@ def test_sieve_far_from_zero_matches_is_prime(lo, span):
     expected = [n for n in range(lo, hi) if is_prime(n)]
     assert sieve_range(lo, hi).primes().tolist() == expected
     assert (np.flatnonzero(prime_indicator(lo, hi)) + lo).tolist() == expected
+
+
+@pytest.mark.parametrize("size", [8, 1000, 1 << 10])
+@pytest.mark.parametrize("lo, hi, overlap", [
+    (0, 5000, 0), (1, 5000, 2), (2, 4097, 9), (3, 2048, 40), (1000, 1001, 1500),
+])
+def test_windows_are_segments_extended_by_the_overlap(lo, hi, overlap, size, monkeypatch):
+    whole = prime_indicator(0, hi + overlap)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    windows = list(iter_windows(lo, hi, overlap))
+    assert [start for start, _ in windows] == list(range(lo, hi, size))
+    for start, ind in windows:
+        end = min(start + size, hi)
+        assert np.array_equal(ind, whole[start : end + overlap]), (start, end)
+
+
+def test_windows_validation():
+    for lo, hi, overlap in ((5, 5, 0), (-1, 5, 0), (0, 5, -1)):
+        with pytest.raises(PreconditionError):
+            next(iter_windows(lo, hi, overlap))
 
 
 def test_prime_indicator_consistency():

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegaps import OffsetTuple, gallagher_average, prime_count, singular_series
-from primegaps import tuples
+from primegaps import sieve, tuples
 from primegaps.errors import PreconditionError
 from primegaps.tuples import SingularSeriesValue, hl_count, is_admissible, nu
-from primegaps.sieve import primes_upto
+from primegaps.sieve import prime_indicator, primes_upto
 from primegaps.tuples import default_truncation
 
 from conftest import trial_division_is_prime
@@ -200,6 +200,29 @@ def test_hl_count_counts_each_n_once_at_any_block_size(block, monkeypatch):
 def test_hl_count_twin_published_1e8():
     # published count of twin-prime pairs (p, p + 2) with p <= 10^8
     assert hl_count(OffsetTuple((0, 2)), 10**8).actual == 440_312
+
+
+def test_hl_count_twin_published_1e9():
+    # OEIS A007508: 3,424,506 twin-prime pairs (p, p + 2) with p <= 10^9;
+    # 60 sieve windows, one at a time
+    assert hl_count(OffsetTuple((0, 2)), 10**9).actual == 3_424_506
+
+
+@pytest.mark.parametrize("offsets, size", [
+    ((0, 2), 7), ((0, 2), 1000), ((0, 2), 1 << 10),
+    ((0, 2, 6, 8), 7), ((0, 2, 6, 8), 1004), ((0, 2, 6, 8), 1041),
+])
+def test_hl_count_streams_across_window_seams(offsets, size, monkeypatch):
+    # windows of n start at 1 + k * size; the tuples n whose n + h_k lies in
+    # a later window are counted from the overlap alone, and each size puts
+    # a seam inside some counted tuple
+    x = 20_000
+    ind = prime_indicator(0, x + offsets[-1] + 1)
+    counted = [n for n in range(1, x + 1) if all(ind[n + h] for h in offsets)]
+    straddling = [n for n in counted if (n - 1) // size != (n + offsets[-1] - 1) // size]
+    assert straddling, "no tuple straddles a seam: choose other sizes"
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    assert hl_count(OffsetTuple(offsets), x).actual == len(counted)
 
 
 def test_hl_count_twin_ratio_baselines(baseline):
