@@ -248,7 +248,7 @@ def _interval_stats(
             if b < hi:
                 total += int(np.count_nonzero(ind[max(b, lo) - lo + t : hi - lo + t]))
         del ind  # freed before the next window is sieved, not after
-    del starts
+    del starts  # else it sits beside drawn and std's temporary: 8 more bytes a sample
     freq = np.bincount(counts)
     fractions = {int(k): float(freq[k] / n_samples) for k in np.flatnonzero(freq)}
     drawn = np.empty_like(counts)
