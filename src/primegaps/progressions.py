@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require
-from .sieve import factorize, iter_segments, primes_upto
+from .sieve import factorize, primes_upto
 
 _LI_DPS = 30
 
@@ -86,6 +86,10 @@ class APErrorRecord:
     count: int
     expected: float
     error: float
+
+
+# error_table reduces its primes mod q this many (8 MiB of int64) at a time
+_RESIDUE_BLOCK = 1 << 20
 
 
 class ErrorTable(NamedTuple):
@@ -152,13 +156,14 @@ def error_table(x: int, q: int) -> ErrorTable:
     """Per-residue errors for all reduced classes mod q, and E(x; q).
 
     E(x; q) is the maximum |error| over residues a coprime to q.  The
-    primes are bincounted mod q one sieve segment at a time, so no table
-    of all the primes up to x is built; pi_x sums every class."""
+    cached primes_upto(x) table is reduced mod q _RESIDUE_BLOCK primes at
+    a time, so the residues held at once are one block, not a second
+    table; pi_x is the table's length."""
     require(x >= 2, "x must be at least 2")
     require(q >= 1, "q must be positive")
-    counts = np.zeros(q, dtype=np.int64)
-    for seg in iter_segments(0, x + 1):
-        counts += np.bincount(seg.primes() % q, minlength=q)
+    primes = primes_upto(x)
+    ends = [*range(_RESIDUE_BLOCK, len(primes), _RESIDUE_BLOCK), len(primes)]
+    counts = _top_counts(primes, ends, q)[-1]
     reduced = _reduced_residues(q)
     expected = log_integral(x) / len(reduced)
     records = [
@@ -166,7 +171,7 @@ def error_table(x: int, q: int) -> ErrorTable:
         for a, c in zip(reduced.tolist(), counts[reduced].tolist())
     ]
     max_err = max(abs(rec.error) for rec in records)
-    return ErrorTable(records, max_err, int(counts.sum()))
+    return ErrorTable(records, max_err, len(primes))
 
 
 # ---------------------------------------------------------------------------

@@ -203,24 +203,47 @@ def prime_indicator(lo: int, hi: int) -> np.ndarray:
 
 
 def iter_windows(lo: int, hi: int, overlap: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Cover [lo, hi) with the segments [start, end) of iter_segments and
-    yield (start, bitmap of [start, end + overlap)) for each: entry i marks
-    start + i prime.
+    """Cover [lo, hi) with consecutive spans [start, end) of
+    max(SEGMENT_SIZE, overlap) and yield (start, bitmap of
+    [start, end + overlap)) for each: entry i marks start + i prime.
 
-    Each window sieves its overlap again, so a consumer that looks up to
-    overlap past each position of [start, end) holds one window at a time,
-    never the whole range."""
+    A consumer that looks up to overlap past each position of [start, end)
+    holds one window at a time, never the whole range.  Each window sieves
+    its overlap again; a span at least as long as the overlap keeps that
+    repeated work below the range itself."""
     require(0 <= lo < hi and overlap >= 0, f"need 0 <= lo < hi, overlap >= 0, got "
             f"[{lo}, {hi}), {overlap}")
-    for start in range(lo, hi, SEGMENT_SIZE):
-        yield start, prime_indicator(start, min(start + SEGMENT_SIZE, hi) + overlap)
+    step = max(SEGMENT_SIZE, overlap)
+    for start in range(lo, hi, step):
+        yield start, prime_indicator(start, min(start + step, hi) + overlap)
+
+
+def _prime_count_bound(lo: int, hi: int) -> int:
+    """An upper bound on the number of primes in [lo, hi), for hi >= 3:
+    the odd numbers there and 2, or pi(hi) < 1.25506 hi / log hi
+    (Rosser and Schoenfeld, 1962), whichever is smaller."""
+    return min((hi - lo + 1) // 2 + 1, int(1.25506 * hi / math.log(hi)) + 1)
 
 
 def primes_between(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi) as an int64 array."""
+    """Primes in [lo, hi) as an int64 array.
+
+    Each segment's primes are copied into one buffer sized by
+    _prime_count_bound, whose pages past the last prime are never
+    touched, and the buffer is shrunk in place; the peak is the primes
+    and one segment, not the primes twice."""
     if hi <= max(lo, 2):
         return np.empty(0, dtype=np.int64)
-    return np.concatenate([seg.primes() for seg in iter_segments(max(lo, 0), hi)])
+    lo = max(lo, 0)
+    out = np.empty(_prime_count_bound(lo, hi), dtype=np.int64)
+    n = 0
+    for seg in iter_segments(lo, hi):
+        ps = seg.primes()
+        out[n : n + len(ps)] = ps
+        n += len(ps)
+        del seg, ps  # freed before the next segment is sieved, not after
+    out.resize(n, refcheck=False)  # no view of out exists yet
+    return out
 
 
 def prime_count(x: int) -> int:

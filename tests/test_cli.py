@@ -428,17 +428,27 @@ def test_hl_count_checks_L_before_sieving(monkeypatch, capsys):
 # Sizes past one sieve window (2^24) on both sides, where a whole array of
 # the old code grew by more than 20 MB from x to 2x: the indicator of
 # hl-count (x bytes) and intervals (2x bytes), cramer's n_max + 1 bools and
-# their positions, and the int64 primes below x that gaps and ap-table held.
+# their positions, and the int64 primes below x that gaps held.
 @pytest.mark.parametrize("argv, x", [
     (["gaps", "--x-hi"], 40_000_000),
     (["hl-count", "--offsets", "0,2", "--x"], 40_000_000),
     (["intervals", "--n-samples", "1000", "--x"], 20_000_000),
     (["cramer", "--n-max"], 25_000_000),
-    (["ap-table", "--q", "30", "--x"], 40_000_000),
-], ids=["gaps", "hl-count", "intervals", "cramer", "ap-table"])
+], ids=["gaps", "hl-count", "intervals", "cramer"])
 def test_streamed_peak_is_flat_in_x(argv, x):
     small, large = (peak_rss_kib(*argv, str(size)) for size in (x, 2 * x))
     assert abs(large - small) < 8 * 1024, (small, large)
+
+
+def test_ap_table_peak_grows_by_its_primes_alone():
+    # ap-table reads the cached int64 table primes_upto(x), which grows by
+    # 8 bytes a prime from x to 2x (17.1 MB here); the table is built in one
+    # buffer and reduced mod q a block at a time, so no second table-sized
+    # array (the concatenated segments, the residues) adds to that
+    x = 40_000_000
+    small, large = (peak_rss_kib("ap-table", "--q", "30", "--x", str(size)) for size in (x, 2 * x))
+    added_kib = (4_669_382 - 2_433_654) * 8 / 1024  # pi(8e7) - pi(4e7) primes
+    assert large - small < added_kib + 8 * 1024, (small, large, added_kib)
 
 
 def test_overflow_exits_1(capsys):

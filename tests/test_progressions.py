@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import pi_ap, prime_count, sieve
+from primegaps import pi_ap, prime_count, progressions
 from primegaps.errors import PreconditionError
 from primegaps.progressions import (
     bv_scan,
@@ -125,12 +125,11 @@ def test_partition_identity():
             assert reduced + dividing == pi_x, (x, q)
 
 
-@pytest.mark.parametrize("size", [8, 1000, 1 << 10])
+@pytest.mark.parametrize("block", [7, 1 << 20])
 @pytest.mark.parametrize("x", [2, 3, 1023, 1024, 2047, 10_000])
-def test_error_table_counts_across_segment_seams(x, size, monkeypatch):
-    # x + 1 = 1024 and 2048 end the range on a seam, 1024 one past it
+def test_error_table_counts_every_class(x, block, monkeypatch):
     primes = np.array(trial_division_primes(2, x + 1))
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    monkeypatch.setattr(progressions, "_RESIDUE_BLOCK", block)
     for q in (1, 2, 30, 97, 2310):
         table = error_table(x, q)
         assert table.pi_x == len(primes)

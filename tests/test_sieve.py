@@ -161,13 +161,15 @@ def test_sieve_far_from_zero_matches_is_prime(lo, span):
 @pytest.mark.parametrize("lo, hi, overlap", [
     (0, 5000, 0), (1, 5000, 2), (2, 4097, 9), (3, 2048, 40), (1000, 1001, 1500),
 ])
-def test_windows_are_segments_extended_by_the_overlap(lo, hi, overlap, size, monkeypatch):
+def test_windows_are_spans_extended_by_the_overlap(lo, hi, overlap, size, monkeypatch):
+    # a span is one segment, or the overlap where that is longer
     whole = prime_indicator(0, hi + overlap)
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    step = max(size, overlap)
     windows = list(iter_windows(lo, hi, overlap))
-    assert [start for start, _ in windows] == list(range(lo, hi, size))
+    assert [start for start, _ in windows] == list(range(lo, hi, step))
     for start, ind in windows:
-        end = min(start + size, hi)
+        end = min(start + step, hi)
         assert np.array_equal(ind, whole[start : end + overlap]), (start, end)
 
 
@@ -180,6 +182,23 @@ def test_windows_validation():
 def test_prime_indicator_consistency():
     ind = prime_indicator(100, 10_000)
     assert list(np.flatnonzero(ind) + 100) == trial_division_primes(100, 10_000)
+
+
+@pytest.mark.parametrize("size", [8, 1000, 1 << 10])
+@pytest.mark.parametrize("lo, hi", [(0, 3), (0, 5000), (2, 4097), (1000, 1001), (1013, 3072)])
+def test_primes_between_fills_one_buffer_across_seams(lo, hi, size, monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    primes = primes_between(lo, hi)
+    assert primes.dtype == np.int64 and primes.flags.owndata
+    assert primes.tolist() == trial_division_primes(lo, hi)
+
+
+def test_prime_count_bound_holds():
+    # pi(x) < 1.25506 x / log x is tightest at x = 113, where pi = 30
+    below = np.concatenate(([0], np.cumsum(prime_indicator(0, 5000))))  # primes < n
+    for hi in range(3, 5000):
+        for lo in (0, 1, 2, 3, hi // 2, hi - 2, hi - 1):
+            assert sieve._prime_count_bound(lo, hi) >= below[hi] - below[lo], (lo, hi)
 
 
 def test_primes_between_empty():

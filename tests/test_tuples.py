@@ -211,18 +211,39 @@ def test_hl_count_twin_published_1e9():
 @pytest.mark.parametrize("offsets, size", [
     ((0, 2), 7), ((0, 2), 1000), ((0, 2), 1 << 10),
     ((0, 2, 6, 8), 7), ((0, 2, 6, 8), 1004), ((0, 2, 6, 8), 1041),
+    ((0, 2, 1500), 1000),
 ])
 def test_hl_count_streams_across_window_seams(offsets, size, monkeypatch):
-    # windows of n start at 1 + k * size; the tuples n whose n + h_k lies in
+    # windows of n start at 1 + k * step; the tuples n whose n + h_k lies in
     # a later window are counted from the overlap alone, and each size puts
     # a seam inside some counted tuple
     x = 20_000
+    step = max(size, offsets[-1])
     ind = prime_indicator(0, x + offsets[-1] + 1)
     counted = [n for n in range(1, x + 1) if all(ind[n + h] for h in offsets)]
-    straddling = [n for n in counted if (n - 1) // size != (n + offsets[-1] - 1) // size]
+    straddling = [n for n in counted if (n - 1) // step != (n + offsets[-1] - 1) // step]
     assert straddling, "no tuple straddles a seam: choose other sizes"
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
     assert hl_count(OffsetTuple(offsets), x).actual == len(counted)
+
+
+@pytest.mark.parametrize("h", [2, 5_000, 60_000])
+def test_hl_count_sieves_at_most_twice_its_range(h, monkeypatch):
+    # each window sieves h_k again past its span, which is never shorter
+    # than h_k, so the overlaps add at most x + h_k integers
+    x = 50_000
+    sieved = []
+    sieve_range = sieve.sieve_range
+
+    def counting(lo, hi):
+        sieved.append(hi - lo)
+        return sieve_range(lo, hi)
+
+    expected = hl_count(OffsetTuple((0, h)), x).actual
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 10)
+    monkeypatch.setattr(sieve, "sieve_range", counting)
+    assert hl_count(OffsetTuple((0, h)), x).actual == expected
+    assert sum(sieved) <= 2 * (x + h), sum(sieved)
 
 
 def test_hl_count_twin_ratio_baselines(baseline):
