@@ -221,9 +221,10 @@ def _interval_stats(
     in [x, 2x] of length floor(log n) >= t, found by bisection since the
     length never decreases in n.  So with the drawn starts sorted once,
     each count is a sum of shifted gathers ind[n + t] over a suffix of
-    each window's starts, and no prefix-count table is built; the counts
-    go back to the order they were drawn in, so the mean and std sum them
-    as one pass would.  The exact mean swaps the two sums, counting the
+    each window's starts, and no prefix-count table is built.  The mean
+    and the variance are exact rationals in the integer moments sum k
+    freq[k] and sum k^2 freq[k] of the count frequencies, each rounded
+    once (int / int).  The exact mean swaps the two sums, counting the
     primes n + t for n in [b_t, 2x].
     """
     T = _longest_interval(x)
@@ -234,8 +235,7 @@ def _interval_stats(
         for t in range(T + 1)
     ]
     starts = make_rng(seed).integers(x, 2 * x + 1, size=n_samples)
-    order = np.argsort(starts)
-    starts = starts[order]
+    starts.sort()
     reach = np.searchsorted(starts, first).tolist()  # starts[reach[t]:] reach n + t
     counts = np.zeros(n_samples, dtype=np.int64)
     total = 0
@@ -248,16 +248,15 @@ def _interval_stats(
             if b < hi:
                 total += int(np.count_nonzero(ind[max(b, lo) - lo + t : hi - lo + t]))
         del ind  # freed before the next window is sieved, not after
-    del starts  # else it sits beside drawn and std's temporary: 8 more bytes a sample
     freq = np.bincount(counts)
     fractions = {int(k): float(freq[k] / n_samples) for k in np.flatnonzero(freq)}
-    drawn = np.empty_like(counts)
-    drawn[order] = counts
+    s1 = sum(k * f for k, f in enumerate(freq.tolist()))
+    s2 = sum(k * k * f for k, f in enumerate(freq.tolist()))
     return IntervalCountStats(
         n_samples=n_samples,
         fractions=fractions,
-        empirical_mean=float(drawn.mean()),
-        empirical_std=float(drawn.std()),
+        empirical_mean=s1 / n_samples,
+        empirical_std=math.sqrt((n_samples * s2 - s1 * s1) / n_samples**2),
         exact_mean=total / (x + 1),
     )
 

@@ -7,11 +7,12 @@ define the nonnegative detector
 
 Summed over n in [x, 2x], a(n) has the quadratic-form main term
 
-    x * sum_{d1,d2 <= R} f([d1,d2]) / [d1,d2] * lambda_d1 lambda_d2,
+    x * sum_{d1,d2 <= R} h([d1,d2]) lambda_d1 lambda_d2,
 
-with f multiplicative, f(p) = nu_H(p); restricting to n with n + h_j prime
-replaces f/[d1,d2] by g/phi([d1,d2]) with g(p) = nu_H(p) - 1 and a factor
-x/log x.  Both forms have beta-integral asymptotics whose ratio, times
+with h multiplicative, h(p) = nu_H(p)/p; restricting to n with n + h_j
+prime takes h(p) = (nu_H(p) - 1)/(p - 1) and a factor x/log x.  Both forms
+are evaluated through Selberg's diagonalization, as sums of squares
+g(r) y_r^2.  Both have beta-integral asymptotics whose ratio, times
 log R/log x, is the quantity that would exceed 1/k if bounded prime gaps
 followed; that ratio and the strict inequality blocking improvement past
 4/k are exact-rational and live in polys.
@@ -29,8 +30,7 @@ import numpy as np
 
 from .errors import require
 from .polys import PolynomialSpec, weighted_square_integral
-from .progressions import euler_phi
-from .sieve import factorize, prime_indicator, sieve_range
+from .sieve import factorize, prime_indicator, primes_upto, sieve_range
 from .tuples import OffsetTuple, nu, singular_series
 
 
@@ -64,29 +64,6 @@ def mobius_log_identity(m: int, k: int) -> float:
             d = math.prod(subset)
             terms.append(sign * math.log(m / d) ** k)
     return math.fsum(terms)
-
-
-def f_of(d: int, H: OffsetTuple) -> int:
-    """Residue-class count f(d) = prod over p | d of nu_H(p), squarefree d.
-
-    f(d) is the number of residue classes n mod d with
-    d | (n+h_1)...(n+h_k)."""
-    return _local_product(d, H, 0)
-
-
-def g_of(d: int, H: OffsetTuple) -> int:
-    """Like f but with the class forcing a fixed n + h_j composite removed:
-    g(d) = prod over p | d of (nu_H(p) - 1), squarefree d."""
-    return _local_product(d, H, 1)
-
-
-def _local_product(d: int, H: OffsetTuple, shift: int) -> int:
-    require(d >= 1, "d must be positive")
-    out = 1
-    for p, e in factorize(d):
-        require(e == 1, f"non-squarefree modulus {d} (p={p} repeats)")
-        out *= nu(H, p) - shift
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,77 +137,15 @@ def _divisor_residues(d: int, H: OffsetTuple) -> np.ndarray:
     return np.flatnonzero(prodmod == 0)
 
 
-# A _PairwiseSum leaf, and so a weight profile block, holds at most this
-# many float64s (1 MiB): the block stays in cache across every divisor.
+# A weight profile block holds at most this many float64s (1 MiB): the
+# block stays in cache across every divisor.
 _PROFILE_BLOCK = 1 << 17
-
-
-def _split(n: int) -> int:
-    """Length of the first half where numpy's pairwise summation splits a
-    range of n > 128 floats."""
-    half = n // 2
-    return half - half % 8
-
-
-def _leaf_sizes(n: int) -> list[int]:
-    """Lengths of the ranges, in order, where the tree of _split halves
-    over n floats first reaches _PROFILE_BLOCK or fewer.  All but the last
-    are multiples of 8."""
-    if n <= _PROFILE_BLOCK:
-        return [n] if n else []
-    h = _split(n)
-    return _leaf_sizes(h) + _leaf_sizes(n - h)
-
-
-def _add_up(n: int, sums: Iterator[float]) -> float:
-    """Add the leaf sums of n floats, in order, back up the same tree."""
-    if n <= _PROFILE_BLOCK:
-        return next(sums) if n else 0.0
-    h = _split(n)
-    return _add_up(h, sums) + _add_up(n - h, sums)
-
-
-class _PairwiseSum:
-    """a.sum() for a float64 array a of n entries that arrive in order, in
-    pieces of any length, holding at most one leaf of them at a time.
-
-    numpy sums a contiguous float64 array pairwise: a range of more than 128
-    entries splits at _split(n), and each half sums on its own exactly as
-    it would as an array by itself.  Cutting that tree at leaves of at most
-    _PROFILE_BLOCK entries, reducing each leaf with np.add.reduce and adding
-    the halves back up along the tree therefore gives a.sum() bit for bit
-    (tests/test_gpy.py pins this against the installed numpy).  A piece
-    must not change after it is added.
-    """
-
-    def __init__(self, n: int):
-        self._n = n
-        self._leaves = _leaf_sizes(n)
-        self._sums: list[float] = []
-        self._parts: list[np.ndarray] = []
-        self._filled = 0
-
-    def add(self, piece: np.ndarray) -> None:
-        while piece.size:
-            need = self._leaves[len(self._sums)] - self._filled
-            head, piece = piece[:need], piece[need:]
-            self._parts.append(head)
-            self._filled += head.size
-            if head.size == need:
-                parts = self._parts
-                leaf = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                self._sums.append(np.add.reduce(leaf))
-                self._parts, self._filled = [], 0
-
-    def total(self) -> float:
-        require(len(self._sums) == len(self._leaves), "fewer entries added than announced")
-        return float(_add_up(self._n, iter(self._sums)))
 
 
 def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndarray]:
     """S[n - x] = sum of lambda_d over d dividing (n+h_1)...(n+h_k), in
-    consecutive new arrays covering [x, 2x], one per summation leaf
-    (_leaf_sizes(x + 1)).
+    consecutive new arrays of _PROFILE_BLOCK entries (the last may be
+    shorter) covering [x, 2x].
 
     Each n lies in one class mod d, so it receives lambda_d at most once
     per d, in ascending d within every block: the same float sum as the
@@ -242,13 +157,11 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndar
         for d in w.support[1:]
         for r in _divisor_residues(d, H).tolist()
     ]
-    lo = 0
-    for size in _leaf_sizes(x + 1):
-        block = np.full(size, w.lam[1])
+    for lo in range(0, x + 1, _PROFILE_BLOCK):
+        block = np.full(min(_PROFILE_BLOCK, x + 1 - lo), w.lam[1])
         for d, lam, first in adds:
             block[(first - lo) % d :: d] += lam
         yield block
-        lo += size
 
 
 # The numerator range is sieved this many profile blocks (at most 1 MiB of
@@ -257,19 +170,17 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndar
 _SIEVE_RUN = 16
 
 
-def _odd_prime_flags(lo: int, sizes: list[int]) -> Iterator[np.ndarray]:
-    """Primality of the odd integers in each of the consecutive runs of
-    the given lengths from lo, in order; every length but the last is
-    even."""
-    for g in range(0, len(sizes), _SIEVE_RUN):
-        group = sizes[g : g + _SIEVE_RUN]
-        span = sum(group)
-        odd = sieve_range(lo, lo + span).odd
-        i = 0
-        for size in group:
-            yield odd[i : i + (size + lo % 2) // 2]
-            i += size // 2
-        lo += span
+def _odd_prime_flags(lo: int, n: int) -> Iterator[np.ndarray]:
+    """Primality of the odd integers in each consecutive run of
+    _PROFILE_BLOCK integers (the last may be shorter) of [lo, lo + n), in
+    order."""
+    run = _SIEVE_RUN * _PROFILE_BLOCK
+    for start in range(lo, lo + n, run):
+        span = min(run, lo + n - start)
+        odd = sieve_range(start, start + span).odd
+        for i in range(0, span, _PROFILE_BLOCK):
+            size = min(_PROFILE_BLOCK, span - i)
+            yield odd[i // 2 : (i + size + start % 2) // 2]
 
 
 def require_level(R: int, x: int) -> None:
@@ -277,22 +188,32 @@ def require_level(R: int, x: int) -> None:
     require(R * R < x, f"level-too-large: need R^2 < x, got R={R}, x={x}")
 
 
-def _pair_sum(w: WeightScheme, num, den) -> float:
-    """fsum of lambda_d1 lambda_d2 num(D) / den(D) over D = [d1, d2].
+def _diagonal_form(lam: dict, H: OffsetTuple, s: int, total=math.fsum):
+    """sum over d1, d2 of lambda_d1 lambda_d2 h([d1, d2]), for h
+    multiplicative with h(p) = (nu_H(p) - s)/(p - s): the denominator form
+    for s = 0 and the numerator form for s = 1.
 
-    num and den are multiplicative and the support holds every squarefree
-    d <= R, so e = d2 / gcd(d1, d2) is in it and coprime to d1: num(D) =
-    num(d1) num(e), from one evaluation per support element."""
-    N = {d: num(d) for d in w.lam}
-    M = {d: den(d) for d in w.lam}
-
-    def terms():
-        for d1, l1 in w.lam.items():
-            for d2, l2 in w.lam.items():
-                e = d2 // math.gcd(d1, d2)
-                yield l1 * l2 * (N[d1] * N[e]) / (M[d1] * M[e])
-
-    return math.fsum(terms())
+    Selberg's diagonalization: h([d1, d2]) = h(d1) h(d2)/h((d1, d2)), and
+    1/h(m) = sum over r | m of g(r) with g multiplicative, g(p) = 1/h(p) - 1
+    = (p - nu_H(p))/(nu_H(p) - s).  So the form is sum over r of g(r) y_r^2,
+    y_r = sum over r | d of lambda_d h(d), a sum of nonnegative terms in
+    O(R log R) steps.  A d with h(d) = 0 (p = 2 for {0, 2} and s = 1)
+    adds nothing to either side, so no r with h(r) = 0 is summed.  lam
+    maps the squarefree d <= R to their weights, floats or Fractions;
+    total adds the terms, so sum with Fractions makes the form exact.
+    """
+    R = max(lam)
+    a, b, c = ([1] * (R + 1) for _ in range(3))  # h = a/b and g = c/a
+    for p in primes_upto(R).tolist():
+        v = nu(H, p)
+        for table, local in ((a, v - s), (b, p - s), (c, p - v)):
+            table[p::p] = [m * local for m in table[p::p]]
+    y = {
+        r: total(lam[d] * a[d] / b[d] for d in range(r, R + 1, r) if d in lam)
+        for r in lam
+        if a[r]
+    }
+    return total(y_r * y_r * c[r] / a[r] for r, y_r in y.items())
 
 
 def quadratic_forms(
@@ -302,40 +223,38 @@ def quadratic_forms(
 
     Returns (denominator,) for k = 1 and (denominator, numerator) for
     k >= 2, all from one pass over the weight profile.  The denominator
-    runs over every n: form_value = x * sum f([d1,d2])/[d1,d2] lambda_d1
-    lambda_d2, and the asymptotic is x/(log R)^k * S(H) * integral_0^1
-    y^(k-1)/(k-1)! * P^(k)(1-y)^2 dy.  The numerator runs over n with
-    n + h_j prime (j is 1-based): form_value = x/log x * sum
-    g([d1,d2])/phi([d1,d2]) lambda lambda, and the asymptotic is
-    x/((log x)(log R)^(k-1)) * S(H) * integral_0^1 y^(k-2)/(k-2)!
-    P^(k-1)(1-y)^2 dy.
+    runs over every n: form_value = x * sum h([d1,d2]) lambda_d1 lambda_d2
+    with h(p) = nu_H(p)/p, and the asymptotic is x/(log R)^k * S(H) *
+    integral_0^1 y^(k-1)/(k-1)! * P^(k)(1-y)^2 dy.  The numerator runs
+    over n with n + h_j prime (j is 1-based): form_value = x/log x * sum
+    h([d1,d2]) lambda_d1 lambda_d2 with h(p) = (nu_H(p) - 1)/(p - 1), and
+    the asymptotic is x/((log x)(log R)^(k-1)) * S(H) * integral_0^1
+    y^(k-2)/(k-2)! P^(k-1)(1-y)^2 dy.
+
+    Each form_value is evaluated as a sum of squares by Selberg's
+    diagonalization (_diagonal_form).  Each direct sum reduces every
+    profile block with np.add.reduce and adds the block sums with
+    math.fsum, so the numerator range is sieved once, block by block.
     """
     require(x >= 4, "x too small")
     require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
     require_level(w.R, x)
-    # the profile blocks are this sum's leaves, so it reduces each in place
-    den = _PairwiseSum(x + 1)
-    num = None
+    den, num = [], []
     if H.k >= 2:
-        # numpy's summation tree over the n with n + h_j prime is set by how
-        # many there are, so count them before the one pass; lo > 2, so
-        # every prime in range is odd
-        h_j = H.offsets[j - 1]
-        lo = x + h_j
-        sizes = _leaf_sizes(x + 1)
-        num = _PairwiseSum(sum(int(np.count_nonzero(f)) for f in _odd_prime_flags(lo, sizes)))
-        flags = _odd_prime_flags(lo, sizes)
+        # lo > 2, so every prime n + h_j in range is odd
+        lo = x + H.offsets[j - 1]
+        flags = _odd_prime_flags(lo, x + 1)
         odd_at = 1 - lo % 2  # block offset of the first odd n + h_j
     for block in _weight_profile(w, H, x):
         np.square(block, out=block)
-        den.add(block)
-        if num is not None:
-            num.add(block[odd_at + 2 * np.flatnonzero(next(flags))])
-    form_value = x * _pair_sum(w, lambda D: f_of(D, H), lambda D: D)
-    forms = (FormEvaluation(den.total(), form_value, _asymptotic(w, H, x, 0)),)
-    if num is not None:
-        form_value = x / math.log(x) * _pair_sum(w, lambda D: g_of(D, H), euler_phi)
-        forms += (FormEvaluation(num.total(), form_value, _asymptotic(w, H, x, 1), j=j),)
+        den.append(np.add.reduce(block))
+        if H.k >= 2:
+            num.append(np.add.reduce(block[odd_at + 2 * np.flatnonzero(next(flags))]))
+    forms = (FormEvaluation(
+        math.fsum(den), x * _diagonal_form(w.lam, H, 0), _asymptotic(w, H, x, 0)),)
+    if H.k >= 2:
+        form_value = x / math.log(x) * _diagonal_form(w.lam, H, 1)
+        forms += (FormEvaluation(math.fsum(num), form_value, _asymptotic(w, H, x, 1), j=j),)
     return forms
 
 

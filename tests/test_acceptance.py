@@ -33,6 +33,7 @@ from primegaps import (
     unfortunate_inequality,
 )
 from primegaps.gaps import interval_counts_from_indicator, poisson_unit_pmf
+from primegaps.gpy import _diagonal_form, quadratic_forms
 from primegaps.cli import main as cli_main
 
 from conftest import naive_factorize, naive_sieve_count, trial_division_primes
@@ -118,6 +119,45 @@ def test_criterion_6_exact_double_counting():
         assert den.per_n == den.pair
         num = exact_double_count(w, H, 10**4, j=1)
         assert num.per_n == num.pair
+
+
+def pair_sum_referee(lam, H, s):
+    """sum of lambda_d1 lambda_d2 A(D)/B(D) over D = [d1, d2], exactly, for
+    A(D) = prod over p | D of (nu_H(p) - s) and B(D) = D (s = 0) or phi(D)
+    (s = 1): the quadratic form summed over every pair of the support.
+
+    The support holds every squarefree d <= R, so e = d2 / gcd(d1, d2) is
+    in it and coprime to d1, and A(D)/B(D) = A(d1)A(e)/(B(d1)B(e))."""
+    def local(d):
+        A = B = 1
+        for p, _ in naive_factorize(d):
+            A *= len({h % p for h in H.offsets}) - s
+            B *= p - s
+        return Fraction(A, B)
+
+    h = {d: local(d) for d in lam}
+    return sum(
+        l1 * l2 * h[d1] * h[d2 // math.gcd(d1, d2)]
+        for d1, l1 in lam.items()
+        for d2, l2 in lam.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "offsets, r, R", [((0, 2), 1, 200), ((0, 2, 6), 1, 150), ((0, 4, 6, 10), 2, 120)]
+)
+def test_criterion_6_diagonal_form_equals_pair_sum(offsets, r, R):
+    description = f"Selberg's diagonal form equals the pair sum exactly, {offsets} at R={R}"
+    with criterion(6, description, 10.0):
+        H = OffsetTuple(offsets)
+        w = build_weights(PolynomialSpec.power(H.k, r), R)
+        lam = {d: Fraction(v) for d, v in w.lam.items()}
+        x = 10**5
+        scale = (x, x / math.log(x))
+        for s, ev in enumerate(quadratic_forms(w, H, x)):
+            referee = pair_sum_referee(lam, H, s)
+            assert _diagonal_form(lam, H, s, total=sum) == referee
+            assert ev.form_value == pytest.approx(scale[s] * float(referee), rel=1e-13, abs=0)
 
 
 def test_criterion_7_partition_identity():

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,7 +222,9 @@ def test_interval_determinism():
 def prefix_count_referee(ind, x, n_samples, seed):
     """Interval statistics from a prefix-count table over the whole
     indicator: count(n) = cum[n + L] - cum[n - 1] with L = floor(log n),
-    and the exact mean taken over every start in [x, 2x]."""
+    and the exact mean taken over every start in [x, 2x].  The std is the
+    square root of the exact rational variance of the drawn counts,
+    sum (n k - S)^2 / n^3 with S their sum, rounded once before it."""
     cum = np.cumsum(ind, dtype=np.int32)
 
     def counts(ns):
@@ -235,7 +238,9 @@ def prefix_count_referee(ind, x, n_samples, seed):
         int(counts(np.arange(lo, min(lo + 2**20, 2 * x + 1))).sum())
         for lo in range(x, 2 * x + 1, 2**20)
     )
-    return fractions, float(drawn.mean()), float(drawn.std()), total / (x + 1)
+    S = int(drawn.sum())
+    variance = Fraction(sum((n_samples * k - S) ** 2 for k in drawn.tolist()), n_samples**3)
+    return fractions, float(drawn.mean()), math.sqrt(variance), total / (x + 1)
 
 
 def interval_stats_tuple(ind, x, n_samples, seed):
