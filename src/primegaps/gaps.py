@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, require
-from .sieve import SieveSegment, iter_segments, iter_windows, next_prime, primes_upto
+from .sieve import SieveSegment, iter_windows, next_prime, primes_upto
 
 # Reference constants for the limsup of gap/(log p)^2: the random model
 # predicts 1; the corrected heuristic gives at least 2 e^{-gamma}.
@@ -156,7 +156,7 @@ def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
     """
     require(x_lo >= 3, "x_lo must be at least 3")
     require(x_hi > x_lo, "empty range")
-    segments = iter_segments(x_lo, next_prime(x_hi - 1) + 1)
+    segments = iter_windows(x_lo, next_prime(x_hi - 1) + 1)
     hist = _histogram_of_runs(map(SieveSegment.primes, segments), default_bin_edges())
     require(hist.total >= 1, f"no primes in [{x_lo}, {x_hi})")
     return hist
@@ -279,9 +279,10 @@ def interval_count_distribution(x: int, n_samples: int, seed: int) -> IntervalCo
     """Frequencies of k primes in [n, n + log n] for random n in [x, 2x].
 
     The starts [x, 2x] are sieved one window at a time, each extended by
-    the longest interval, floor(log 2x)."""
+    the longest interval, floor(log 2x), and expanded to a full bitmap."""
     _require_interval_args(x, n_samples, seed)
-    return _interval_stats(iter_windows(x, 2 * x + 1, _longest_interval(x)), x, n_samples, seed)
+    windows = iter_windows(x, 2 * x + 1, _longest_interval(x))
+    return _interval_stats(map(lambda w: (w.lo, w.bits), windows), x, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------

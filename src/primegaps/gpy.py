@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import require
 from .polys import PolynomialSpec, weighted_square_integral
-from .sieve import factorize, prime_indicator, primes_upto, sieve_range
+from .sieve import factorize, iter_windows, prime_indicator, primes_upto
 from .tuples import OffsetTuple, nu, singular_series
 
 
@@ -164,23 +164,21 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndar
         yield block
 
 
-# The numerator range is sieved this many profile blocks (at most 1 MiB of
-# odd flags) at a time: measured near 3e7, as fast as whole sieve segments
-# at an eighth of their memory.
-_SIEVE_RUN = 16
-
-
 def _odd_prime_flags(lo: int, n: int) -> Iterator[np.ndarray]:
     """Primality of the odd integers in each consecutive run of
     _PROFILE_BLOCK integers (the last may be shorter) of [lo, lo + n), in
-    order."""
-    run = _SIEVE_RUN * _PROFILE_BLOCK
-    for start in range(lo, lo + n, run):
-        span = min(run, lo + n - start)
-        odd = sieve_range(start, start + span).odd
-        for i in range(0, span, _PROFILE_BLOCK):
-            size = min(_PROFILE_BLOCK, span - i)
-            yield odd[i // 2 : (i + size + start % 2) // 2]
+    order: the sieve windows' odd flags, cut every _PROFILE_BLOCK // 2 as
+    the block is even, and joined where a run crosses a window seam."""
+    half = _PROFILE_BLOCK // 2
+    windows = iter_windows(lo, lo + n)
+    odd = np.empty(0, dtype=bool)
+    for _ in range(0, n, _PROFILE_BLOCK):
+        run, odd = odd[:half], odd[half:]
+        while len(run) < half and (seg := next(windows, None)) is not None:
+            take = half - len(run)
+            run = np.concatenate((run, seg.odd[:take])) if len(run) else seg.odd[:take]
+            odd = seg.odd[take:]
+        yield run
 
 
 def require_level(R: int, x: int) -> None:

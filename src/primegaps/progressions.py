@@ -88,8 +88,8 @@ class APErrorRecord:
     error: float
 
 
-# error_table reduces its primes mod q this many (8 MiB of int64) at a time
-_RESIDUE_BLOCK = 1 << 20
+# _top_counts reduces its primes mod top this many (512 KiB of int64) at a time
+_RESIDUE_BLOCK = 1 << 16
 
 
 class ErrorTable(NamedTuple):
@@ -102,14 +102,13 @@ def _top_counts(primes: np.ndarray, ends, top: int) -> np.ndarray:
     """The (len(ends), top) matrix C with C[j, a] the count of primes in
     primes[:ends[j]] that are = a (mod top).
 
-    The primes are reduced one checkpoint slice primes[ends[j-1]:ends[j]]
-    at a time, so the residues held at once are one slice, never the
-    whole prefix."""
-    C = np.empty((len(ends), top), dtype=np.int64)
-    start = 0
-    for j, end in enumerate(ends):
-        C[j] = np.bincount(primes[start:end] % top, minlength=top)
-        start = end
+    Each checkpoint slice primes[ends[j-1]:ends[j]] is reduced
+    _RESIDUE_BLOCK primes at a time, so the residues held at once are one
+    block, never a slice of the table."""
+    C = np.zeros((len(ends), top), dtype=np.int64)
+    for j, (start, end) in enumerate(zip([0, *ends], ends)):
+        for lo in range(start, end, _RESIDUE_BLOCK):
+            C[j] += np.bincount(primes[lo : min(lo + _RESIDUE_BLOCK, end)] % top, minlength=top)
     return np.cumsum(C, axis=0, out=C)
 
 
@@ -156,14 +155,12 @@ def error_table(x: int, q: int) -> ErrorTable:
     """Per-residue errors for all reduced classes mod q, and E(x; q).
 
     E(x; q) is the maximum |error| over residues a coprime to q.  The
-    cached primes_upto(x) table is reduced mod q _RESIDUE_BLOCK primes at
-    a time, so the residues held at once are one block, not a second
-    table; pi_x is the table's length."""
+    cached primes_upto(x) table is reduced mod q by _top_counts, a block
+    at a time, so no second table is held; pi_x is the table's length."""
     require(x >= 2, "x must be at least 2")
     require(q >= 1, "q must be positive")
     primes = primes_upto(x)
-    ends = [*range(_RESIDUE_BLOCK, len(primes), _RESIDUE_BLOCK), len(primes)]
-    counts = _top_counts(primes, ends, q)[-1]
+    counts = _top_counts(primes, [len(primes)], q)[-1]
     reduced = _reduced_residues(q)
     expected = log_integral(x) / len(reduced)
     records = [

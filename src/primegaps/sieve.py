@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import require
 
-# A single sieve_range call spans at most SEGMENT_SIZE; iter_segments
-# streams longer ranges in segments of that size, large enough that the
+# A single sieve_range call spans at most SEGMENT_SIZE; iter_windows
+# streams longer ranges in windows of that size, large enough that the
 # per-segment base-prime setup cost stays negligible.
 SEGMENT_SIZE = 1 << 24
 
@@ -146,7 +146,7 @@ def sieve_range(lo: int, hi: int) -> SieveSegment:
     The flags start as the presieved wheel pattern; only the primes from
     17 up to sqrt(hi) strike, each from its first odd multiple >= max(p^2,
     lo) in steps of 2p.  Refuses a span hi - lo beyond SEGMENT_SIZE with
-    a PreconditionError; iterate iter_segments for longer ranges.
+    a PreconditionError; iterate iter_windows for longer ranges.
     """
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
     require(hi <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
@@ -176,16 +176,6 @@ def sieve_range(lo: int, hi: int) -> SieveSegment:
     return SieveSegment(lo, hi, odd)
 
 
-def iter_segments(lo: int, hi: int) -> Iterator[SieveSegment]:
-    """Cover [lo, hi) with consecutive segments of at most SEGMENT_SIZE."""
-    require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
-    cur = lo
-    while cur < hi:
-        nxt = min(cur + SEGMENT_SIZE, hi)
-        yield sieve_range(cur, nxt)
-        cur = nxt
-
-
 def _indicator(lo: int, hi: int, segments) -> np.ndarray:
     """Spread the odd flags of segments covering [lo, hi) over a full bitmap."""
     out = np.zeros(hi - lo, dtype=bool)  # zeroed: the even slots stay False
@@ -199,23 +189,33 @@ def _indicator(lo: int, hi: int, segments) -> np.ndarray:
 def prime_indicator(lo: int, hi: int) -> np.ndarray:
     """Boolean array of length hi - lo; entry i marks lo + i prime."""
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
-    return _indicator(lo, hi, iter_segments(lo, hi))
+    return _indicator(lo, hi, iter_windows(lo, hi))
 
 
-def iter_windows(lo: int, hi: int, overlap: int) -> Iterator[tuple[int, np.ndarray]]:
+def iter_windows(lo: int, hi: int, overlap: int = 0) -> Iterator[SieveSegment]:
     """Cover [lo, hi) with consecutive spans [start, end) of
-    max(SEGMENT_SIZE, overlap) and yield (start, bitmap of
-    [start, end + overlap)) for each: entry i marks start + i prime.
+    max(SEGMENT_SIZE - overlap, overlap) and yield the odd flags of each
+    window [start, end + overlap) as a SieveSegment.
 
     A consumer that looks up to overlap past each position of [start, end)
-    holds one window at a time, never the whole range.  Each window sieves
-    its overlap again; a span at least as long as the overlap keeps that
-    repeated work below the range itself."""
+    holds one window at a time, never the whole range.  A window is one
+    sieve_range call, or segments joined in one buffer for an overlap past
+    SEGMENT_SIZE / 2.  No span is shorter than the overlap, so the overlaps
+    sieved again add less than the range plus one overlap."""
     require(0 <= lo < hi and overlap >= 0, f"need 0 <= lo < hi, overlap >= 0, got "
             f"[{lo}, {hi}), {overlap}")
-    step = max(SEGMENT_SIZE, overlap)
+    step = max(SEGMENT_SIZE - overlap, overlap)
     for start in range(lo, hi, step):
-        yield start, prime_indicator(start, min(start + step, hi) + overlap)
+        stop = min(start + step, hi) + overlap
+        if stop - start <= SEGMENT_SIZE:
+            yield sieve_range(start, stop)
+            continue
+        o = start | 1
+        odd = np.empty(((stop | 1) - o) // 2, dtype=bool)
+        for a in range(start, stop, SEGMENT_SIZE):
+            b = min(a + SEGMENT_SIZE, stop)
+            odd[((a | 1) - o) // 2 : ((b | 1) - o) // 2] = sieve_range(a, b).odd
+        yield SieveSegment(start, stop, odd)
 
 
 def _prime_count_bound(lo: int, hi: int) -> int:
@@ -237,7 +237,7 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     lo = max(lo, 0)
     out = np.empty(_prime_count_bound(lo, hi), dtype=np.int64)
     n = 0
-    for seg in iter_segments(lo, hi):
+    for seg in iter_windows(lo, hi):
         ps = seg.primes()
         out[n : n + len(ps)] = ps
         n += len(ps)
@@ -252,7 +252,7 @@ def prime_count(x: int) -> int:
     if x < 2:
         return 0
     # 1 for the prime 2, which the segments do not store
-    return 1 + sum(int(np.count_nonzero(seg.odd)) for seg in iter_segments(0, x + 1))
+    return 1 + sum(int(np.count_nonzero(seg.odd)) for seg in iter_windows(0, x + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -205,22 +205,26 @@ def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     """Exact count of n <= x with every n + h_j prime, next to the
     Hardy-Littlewood prediction S(H) x / (log x)^k.
 
-    The n are sieved one window at a time, each extended by h_k."""
+    n = 1, 2 are tested one by one.  Past them every n + h_j must be odd,
+    so only a tuple of one parity counts more: the odd flags of the sieve
+    windows of m = n + h_1, ANDed at the shifts (h_j - h_1)/2."""
     require(x >= 3, "x must be at least 3")
     # the series checks L before any window is sieved
     ss = singular_series(H, L)
     first, *rest = H.offsets
-    actual = 0
-    for _, ind in iter_windows(1, x + 1, H.offsets[-1]):
-        # the window's first n_count entries are its n, the rest reach n + h_k
-        n_count = len(ind) - H.offsets[-1]
-        for lo in range(0, n_count, _COUNT_BLOCK):
-            hi = min(lo + _COUNT_BLOCK, n_count)
-            acc = ind[lo + first : hi + first].copy()
-            for h in rest:
-                acc &= ind[lo + h : hi + h]
-            actual += int(np.count_nonzero(acc))
-        del ind  # freed before the next window is sieved, not after
+    actual = sum(all(is_prime(n + h) for h in H.offsets) for n in (1, 2))
+    if all(h % 2 == first % 2 for h in rest):
+        shifts = [(h - first) // 2 for h in H.offsets]
+        for seg in iter_windows(3 + first, x + first + 1, 2 * shifts[-1]):
+            # the first n_count flags are the window's m, the rest reach m + h_k - h_1
+            n_count = len(seg.odd) - shifts[-1]
+            for lo in range(0, n_count, _COUNT_BLOCK):
+                hi = min(lo + _COUNT_BLOCK, n_count)
+                acc = seg.odd[lo:hi].copy()
+                for s in shifts[1:]:
+                    acc &= seg.odd[lo + s : hi + s]
+                actual += int(np.count_nonzero(acc))
+            del seg  # freed before the next window is sieved, not after
     predicted = ss.value * x / math.log(x) ** H.k
     return HLCount(actual, predicted)
 

@@ -451,6 +451,16 @@ def test_ap_table_peak_grows_by_its_primes_alone():
     assert large - small < added_kib + 8 * 1024, (small, large, added_kib)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_montgomery_peak_is_that_of_its_table(threads):
+    # both commands hold the table primes_upto(4e7) (19.5 MB); montgomery
+    # reduces it mod up to two tops per worker at once, a block of primes
+    # at a time, so its residues add no table-sized array
+    table = peak_rss_kib("ap-table", "--q", "20", "--x", "4e7", "--threads", threads)
+    scan = peak_rss_kib("montgomery", "--q-max", "20", "--x", "4e7", "--threads", threads)
+    assert abs(scan - table) < 8 * 1024, (table, scan)
+
+
 def test_overflow_exits_1(capsys):
     code = main(["longgap", "--kind", "factorial", "--m", "25"])
     assert code == 1

@@ -16,11 +16,10 @@ from primegaps import (
     mobius_log_identity,
     unfortunate_inequality,
 )
-from primegaps import cli, gpy
+from primegaps import cli, gpy, sieve
 from primegaps.errors import PreconditionError
 from primegaps.gpy import (
     _PROFILE_BLOCK,
-    _SIEVE_RUN,
     _divisor_residues,
     _weight_profile,
     mobius,
@@ -284,32 +283,36 @@ def assert_close_sum(got, terms):
 
 @pytest.mark.parametrize("offsets, r", [((0, 2), 0), ((0, 4, 6), 1)])
 @pytest.mark.parametrize("x", [B - 1, 3 * B + 4, 2_300_001])
-def test_streamed_forms_equal_whole_array_sums(offsets, r, x):
-    # x + h_j both odd and even; 2_300_001 spans 18 profile blocks, so the
-    # numerator crosses a sieve run
+def test_streamed_forms_equal_whole_array_sums(offsets, r, x, monkeypatch):
+    # x + h_j both odd and even; 2_300_001 spans 18 profile blocks, and
+    # sieve windows of an odd size put profile blocks across their seams
     H = OffsetTuple(offsets)
     w = build_weights(PolynomialSpec.power(H.k, r), math.isqrt(math.isqrt(x)))
     sq = unblocked_profile(w, H, x) ** 2
-    for j, h in enumerate(H.offsets, 1):
+    primes = [prime_indicator(x + h, 2 * x + h + 1) for h in H.offsets]
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 2 * B + 1)
+    for j in range(1, H.k + 1):
         den, num = quadratic_forms(w, H, x, j)
-        primes = prime_indicator(x + h, 2 * x + h + 1)
-        for got, terms in ((den.direct_sum, sq), (num.direct_sum, sq[primes])):
+        for got, terms in ((den.direct_sum, sq), (num.direct_sum, sq[primes[j - 1]])):
             assert_close_sum(got, terms)
 
 
 @pytest.mark.parametrize("offsets", [(0,), (0, 2), (0, 4, 6)])
-@pytest.mark.parametrize("x", [5000, _SIEVE_RUN * B + 3])
+@pytest.mark.parametrize("x", [5000, 16 * B + 3])
 def test_quadratic_forms_sieve_the_numerator_range_once(offsets, x, monkeypatch):
+    # the larger x spans six windows of the patched size
     spans = []
 
     def recording(lo, hi):
         spans.append((lo, hi))
         return sieve_range(lo, hi)
 
-    monkeypatch.setattr(gpy, "sieve_range", recording)
     H = OffsetTuple(offsets)
     w = build_weights(PolynomialSpec.power(H.k, 0), 8)
     j = H.k
+    quadratic_forms(w, H, x, j)  # grows the base primes, which are sieved too
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 3 * B + 1)
+    monkeypatch.setattr(sieve, "sieve_range", recording)
     quadratic_forms(w, H, x, j)
     if H.k == 1:
         assert spans == []

@@ -14,7 +14,6 @@ from primegaps.errors import PreconditionError
 from primegaps.sieve import (
     factorize,
     is_prime,
-    iter_segments,
     iter_windows,
     next_prime,
     prime_indicator,
@@ -134,7 +133,7 @@ def test_sieve_wheel_edges_match_trial_division():
 def test_segment_boundary_with_odd_lo():
     lo = 10**6 + 1  # odd, so the boundary lo + SEGMENT_SIZE is odd too
     boundary, hi = lo + SEGMENT_SIZE, lo + SEGMENT_SIZE + 1000
-    segs = list(iter_segments(lo, hi))
+    segs = list(iter_windows(lo, hi))
     assert [(s.lo, s.hi) for s in segs] == [(lo, boundary), (boundary, hi)]
     primes = np.concatenate([s.primes() for s in segs])
     assert primes[primes >= boundary - 1000].tolist() == trial_division_primes(boundary - 1000, hi)
@@ -157,20 +156,21 @@ def test_sieve_far_from_zero_matches_is_prime(lo, span):
     assert (np.flatnonzero(prime_indicator(lo, hi)) + lo).tolist() == expected
 
 
-@pytest.mark.parametrize("size", [8, 1000, 1 << 10])
+@pytest.mark.parametrize("size", [8, 1000, 1 << 10, 7])
 @pytest.mark.parametrize("lo, hi, overlap", [
     (0, 5000, 0), (1, 5000, 2), (2, 4097, 9), (3, 2048, 40), (1000, 1001, 1500),
 ])
 def test_windows_are_spans_extended_by_the_overlap(lo, hi, overlap, size, monkeypatch):
-    # a span is one segment, or the overlap where that is longer
+    # a window is one segment, or two overlaps joined where that is longer
     whole = prime_indicator(0, hi + overlap)
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
-    step = max(size, overlap)
+    step = max(size - overlap, overlap)
     windows = list(iter_windows(lo, hi, overlap))
-    assert [start for start, _ in windows] == list(range(lo, hi, step))
-    for start, ind in windows:
-        end = min(start + step, hi)
-        assert np.array_equal(ind, whole[start : end + overlap]), (start, end)
+    assert [w.lo for w in windows] == list(range(lo, hi, step))
+    for w in windows:
+        end = min(w.lo + step, hi)
+        assert w.hi == end + overlap
+        assert np.array_equal(w.bits, whole[w.lo : end + overlap]), (w.lo, end)
 
 
 def test_windows_validation():

@@ -209,20 +209,28 @@ def test_hl_count_twin_published_1e9():
 
 
 @pytest.mark.parametrize("offsets, size", [
-    ((0, 2), 7), ((0, 2), 1000), ((0, 2), 1 << 10),
-    ((0, 2, 6, 8), 7), ((0, 2, 6, 8), 1004), ((0, 2, 6, 8), 1041),
+    ((0, 2), 7), ((0, 2), 1000), ((0, 2), 1 << 8),
+    ((0, 2, 6, 8), 7), ((0, 2, 6, 8), 1012), ((0, 2, 6, 8), 1051),
     ((0, 2, 1500), 1000),
+    # mixed parity, all-odd offsets, k = 1, and h_k - h_1 past half a
+    # segment, whose windows join two segments
+    ((0, 1), 7), ((0, 3), 1000), ((1, 3), 7), ((1, 3), 1000), ((1, 7, 13), 1041),
+    ((1, 7, 13), 1000), ((0,), 7), ((1,), 1000), ((0, 2, 600), 1041), ((0, 2, 600), 1000),
 ])
 def test_hl_count_streams_across_window_seams(offsets, size, monkeypatch):
-    # windows of n start at 1 + k * step; the tuples n whose n + h_k lies in
-    # a later window are counted from the overlap alone, and each size puts
-    # a seam inside some counted tuple
+    # windows of m = n + h_1 start at 3 + h_1 + i * step; the tuples n whose
+    # n + h_k lies in a later window are counted from the overlap alone, and
+    # each size puts a seam inside some counted tuple past n = 2, except
+    # where no window overlaps the next (k = 1) or only n <= 2 count
+    # (mixed parity)
     x = 20_000
-    step = max(size, offsets[-1])
+    reach = offsets[-1] - offsets[0]
+    step = max(size - reach, reach)
     ind = prime_indicator(0, x + offsets[-1] + 1)
     counted = [n for n in range(1, x + 1) if all(ind[n + h] for h in offsets)]
-    straddling = [n for n in counted if (n - 1) // step != (n + offsets[-1] - 1) // step]
-    assert straddling, "no tuple straddles a seam: choose other sizes"
+    straddling = [n for n in counted if n > 2 and (n - 3) // step != (n - 3 + reach) // step]
+    one_parity = len({h % 2 for h in offsets}) == 1
+    assert bool(straddling) == (one_parity and reach > 0), "choose other sizes"
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
     assert hl_count(OffsetTuple(offsets), x).actual == len(counted)
 
