@@ -30,7 +30,7 @@ OUTDIR_ENV = "PRIMEGAPS_OUTDIR"
 
 # refuse-by-default work limits; --force overrides
 MAX_SIEVE_SPAN = 2_000_000_000
-MAX_SAMPLES = 10_000_000  # about 24 bytes of peak memory each
+MAX_SAMPLES = 10_000_000  # about 8 bytes of peak memory each
 MAX_CRAMER = 200_000_000
 MAX_BV_MODULI = 100_000
 SUBSET_BUDGET = 10_000_000

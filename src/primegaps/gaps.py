@@ -207,48 +207,53 @@ def _require_interval_args(x: int, n_samples: int, seed: int) -> None:
     require(seed >= 0, "seed must be nonnegative")
 
 
-def _interval_stats(
-    windows: Iterable[tuple[int, np.ndarray]], x: int, n_samples: int, seed: int
-) -> IntervalCountStats:
-    """The interval statistics from windows (lo, ind) of a 0/1 indicator.
+# _interval_stats counts this many sorted starts (1 MiB of int64) at a time
+_START_BLOCK = 1 << 17
 
-    ind[m - lo] marks m as (simulated or real) prime for m in [lo, hi + T),
-    where T = floor(log 2x) bounds every interval length, so the window
-    holds every interval starting in [lo, hi); the start ranges [lo, hi)
-    of the windows must be disjoint and cover [x, 2x].
+
+def _interval_stats(
+    windows: Iterable[tuple[int, int, np.ndarray]], x: int, n_samples: int, seed: int
+) -> IntervalCountStats:
+    """The interval statistics from windows (lo, hi, primes), where primes
+    holds the ascending (simulated or real) primes of [lo, hi).
+
+    T = floor(log 2x) bounds every interval length, so a window holds
+    every interval starting in [lo, hi - T); these start ranges, cut to
+    [x, 2x], must be disjoint and cover [x, 2x].
 
     The interval of n reaches n + t exactly when n >= b_t, the least start
     in [x, 2x] of length floor(log n) >= t, found by bisection since the
-    length never decreases in n.  So with the drawn starts sorted once,
-    each count is a sum of shifted gathers ind[n + t] over a suffix of
-    each window's starts, and no prefix-count table is built.  The mean
-    and the variance are exact rationals in the integer moments sum k
-    freq[k] and sum k^2 freq[k] of the count frequencies, each rounded
-    once (int / int).  The exact mean swaps the two sums, counting the
-    primes n + t for n in [b_t, 2x].
+    length never decreases in n.  So floor(log n) + 1 is the number of b_t
+    <= n, and the count of n is the number of primes in [n, n + that), two
+    binary searches over the primes, taken a block of sorted starts at a
+    time.  The mean and the variance are exact rationals in the integer
+    moments sum k freq[k] and sum k^2 freq[k] of the count frequencies,
+    each rounded once (int / int).  The exact mean swaps the two sums,
+    counting the primes n + t for n in [b_t, 2x].
     """
     T = _longest_interval(x)
-    first = [
+    first = np.array([
         bisect.bisect_left(
             range(2 * x + 1), t, lo=x, key=lambda n: _interval_lengths(np.array([n]))[0]
         )
         for t in range(T + 1)
-    ]
+    ])
     starts = make_rng(seed).integers(x, 2 * x + 1, size=n_samples)
     starts.sort()
-    reach = np.searchsorted(starts, first).tolist()  # starts[reach[t]:] reach n + t
-    counts = np.zeros(n_samples, dtype=np.int64)
+    freq = np.zeros(T + 2, dtype=np.int64)
     total = 0
-    for lo, ind in windows:
-        hi = min(lo + len(ind) - T, 2 * x + 1)
-        i, j = np.searchsorted(starts, [lo, hi]).tolist()
-        for t, (b, r) in enumerate(zip(first, reach)):
-            k = max(i, r)
-            counts[k:j] += ind[starts[k:j] + (t - lo)]
-            if b < hi:
-                total += int(np.count_nonzero(ind[max(b, lo) - lo + t : hi - lo + t]))
-        del ind  # freed before the next window is sieved, not after
-    freq = np.bincount(counts)
+    for lo, hi, primes in windows:
+        stop = min(hi - T, 2 * x + 1)
+        i, j = np.searchsorted(starts, [lo, stop]).tolist()
+        for a in range(i, j, _START_BLOCK):
+            n = starts[a : min(a + _START_BLOCK, j)]
+            ends = n + np.searchsorted(first, n, side="right")
+            k = np.searchsorted(primes, ends) - np.searchsorted(primes, n)
+            freq += np.bincount(k, minlength=T + 2)
+        t = np.flatnonzero(first < stop)
+        low = np.maximum(first[t], lo) + t
+        total += int((np.searchsorted(primes, stop + t) - np.searchsorted(primes, low)).sum())
+        del primes  # freed before the next window is sieved, not after
     fractions = {int(k): float(freq[k] / n_samples) for k in np.flatnonzero(freq)}
     s1 = sum(k * f for k, f in enumerate(freq.tolist()))
     s2 = sum(k * k * f for k, f in enumerate(freq.tolist()))
@@ -267,22 +272,23 @@ def interval_counts_from_indicator(
     """Interval-count statistics over an arbitrary 0/1 prime indicator.
 
     ind[m] marks m as (simulated or real) prime; sampled starts n come from
-    [x, 2x] and must satisfy n + log n < len(ind).  The whole indicator is
-    the one window of _interval_stats.
+    [x, 2x] and must satisfy n + log n < len(ind).  The positions of the
+    whole indicator's primes are the one window of _interval_stats.
     """
     _require_interval_args(x, n_samples, seed)
     require(2 * x + int(math.log(2 * x)) + 1 < len(ind), "indicator too short")
-    return _interval_stats([(0, ind)], x, n_samples, seed)
+    return _interval_stats([(0, len(ind), np.flatnonzero(ind))], x, n_samples, seed)
 
 
 def interval_count_distribution(x: int, n_samples: int, seed: int) -> IntervalCountStats:
     """Frequencies of k primes in [n, n + log n] for random n in [x, 2x].
 
     The starts [x, 2x] are sieved one window at a time, each extended by
-    the longest interval, floor(log 2x), and expanded to a full bitmap."""
+    the longest interval, floor(log 2x), and read as its primes."""
     _require_interval_args(x, n_samples, seed)
     windows = iter_windows(x, 2 * x + 1, _longest_interval(x))
-    return _interval_stats(map(lambda w: (w.lo, w.bits), windows), x, n_samples, seed)
+    return _interval_stats(
+        map(lambda w: (w.lo, w.hi, w.primes()), windows), x, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require
-from .sieve import factorize, primes_upto
+from .sieve import primes_upto
 
 _LI_DPS = 30
 
@@ -48,15 +48,6 @@ def log_integral(x: float) -> float:
     """
     require(x >= 2, "log_integral needs x >= 2")
     return _li_cached(float(x))
-
-
-def euler_phi(q: int) -> int:
-    """Euler's totient, exactly, via factorization."""
-    require(q >= 1, "q must be positive")
-    out = q
-    for p, _ in factorize(q):
-        out -= out // p
-    return out
 
 
 def _reduced_residues(q: int) -> np.ndarray:

@@ -60,10 +60,6 @@ class OffsetTuple:
     def k(self) -> int:
         return len(self.offsets)
 
-    @property
-    def span(self) -> int:
-        return self.offsets[-1] - self.offsets[0]
-
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.offsets)
 

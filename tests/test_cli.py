@@ -451,6 +451,18 @@ def test_ap_table_peak_grows_by_its_primes_alone():
     assert large - small < added_kib + 8 * 1024, (small, large, added_kib)
 
 
+def test_intervals_peak_grows_by_its_sorted_starts_alone():
+    # intervals holds its drawn starts as one sorted int64 array and counts
+    # them a block at a time against each window's primes, so from 1e5 to
+    # 4e6 samples the peak grows by about 8 bytes a sample (about 31 MB here),
+    # well under 12; a per-sample count array and its gathers beside the
+    # starts raised that to about 25
+    small, large = (peak_rss_kib("intervals", "--x", "1000", "--n-samples", str(n))
+                    for n in (100_000, 4_000_000))
+    added_kib = 12 * (4_000_000 - 100_000) / 1024
+    assert large - small < added_kib, (small, large, added_kib)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_montgomery_peak_is_that_of_its_table(threads):
     # both commands hold the table primes_upto(4e7) (19.5 MB); montgomery

@@ -284,9 +284,11 @@ def test_interval_stats_equal_prefix_count_referee(x, n_samples, seed, kind, tri
         ind, x, n_samples, seed)
 
 
-@pytest.mark.parametrize("x, n_samples, seed", [(2 * 10**7, 10**5, 0), (100, 1000, 3)])
+@pytest.mark.parametrize("x, n_samples, seed", [
+    (2 * 10**7, 10**5, 0), (100, 1000, 3), (100, 300_000, 3)])
 def test_interval_stats_equal_prefix_count_referee_at_cli_sizes(x, n_samples, seed):
-    # [2e7, 4e7] contains e^17, so one shift covers only a suffix of starts
+    # [2e7, 4e7] contains e^17, so the interval length steps up inside it;
+    # 300000 draws fill several blocks of sorted starts in one window
     ind = prime_indicator(0, 2 * x + int(math.log(2 * x)) + 2)
     assert interval_stats_tuple(ind, x, n_samples, seed) == prefix_count_referee(
         ind, x, n_samples, seed)

@@ -13,7 +13,6 @@ from primegaps.errors import PreconditionError
 from primegaps.progressions import (
     bv_scan,
     error_table,
-    euler_phi,
     log_integral,
     montgomery_ratios,
 )
@@ -67,25 +66,6 @@ def test_li_pnt_ratio_baseline(baseline):
     ratio = log_integral(x) * math.log(x) / x
     baseline.check("li_times_logx_over_x_1e8", ratio, rel_tol=1e-12)
     print(f"li(1e8) log(x)/x = {ratio:.6f}")
-
-
-# ---------------------------------------------------------------------------
-# totient
-
-def test_phi_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(2) == 1
-
-
-def test_phi_primes():
-    for p in primes_upto(10_000):
-        assert euler_phi(int(p)) == int(p) - 1
-
-
-@given(st.integers(min_value=1, max_value=5000))
-def test_phi_counts_reduced_residues(q):
-    assert euler_phi(q) == sum(1 for a in range(q) if math.gcd(a, q) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +172,12 @@ def test_bv_scan_counts_cross_check():
     # every modulus, q = 1 included, against direct per-checkpoint counts
     res = bv_scan(10**4, 12, 8)
     for q in range(1, 13):
+        phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
         best, best_y = -1.0, None
         for y in res.checkpoints:
             li_y = log_integral(y)
             err = max(
-                abs(pi_ap(int(y), q, a) - li_y / euler_phi(q))
+                abs(pi_ap(int(y), q, a) - li_y / phi)
                 for a in range(q)
                 if math.gcd(a, q) == 1
             )

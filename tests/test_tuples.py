@@ -18,7 +18,7 @@ from conftest import trial_division_is_prime
 
 def test_tuple_construction():
     H = OffsetTuple((0, 2, 6))
-    assert H.k == 3 and H.span == 6
+    assert H.k == 3
     assert str(H) == "0,2,6"
     assert OffsetTuple.parse("0,2,6") == H
     with pytest.raises(PreconditionError):
