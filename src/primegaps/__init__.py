@@ -6,7 +6,7 @@ quadratic forms and beta-integral asymptotics, and error-term scans for
 primes in arithmetic progressions.
 
 The names below are loaded on first use (PEP 562), so importing the
-package, or a module that needs no arrays, does not import numpy or mpmath.
+package, or a module that needs no arrays, does not import numpy.
 """
 
 import importlib

@@ -7,7 +7,7 @@ any work, naming the violated precondition; runtime failures (overflow, I/O) exi
 
 Each handler imports the layers it runs when it runs, so a process loads
 only what its subcommand needs: gpy-ratio and inequality-scan start without
-numpy, and only the progression subcommands load mpmath.
+numpy, and no subcommand loads any other third-party package.
 """
 
 from __future__ import annotations

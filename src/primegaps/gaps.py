@@ -186,10 +186,6 @@ class IntervalCountStats:
     empirical_std: float
     exact_mean: float
 
-    def mean_sigma(self) -> float:
-        """Standard error of the empirical mean."""
-        return self.empirical_std / math.sqrt(self.n_samples)
-
 
 def _interval_lengths(starts: np.ndarray) -> np.ndarray:
     """floor(log n) for each start n, so [n, n + log n] ends at n + length."""

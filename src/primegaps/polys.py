@@ -71,12 +71,6 @@ class RationalPoly:
             cs = tuple(j * c for j, c in enumerate(cs))[1:]
         return RationalPoly(cs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"RationalPoly({list(self.coeffs)!r})"
 
@@ -130,9 +124,6 @@ class PolynomialSpec:
     @property
     def poly(self) -> RationalPoly:
         return RationalPoly(self.coeffs)
-
-    def __call__(self, y):
-        return self.poly(y)
 
 
 # ---------------------------------------------------------------------------

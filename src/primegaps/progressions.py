@@ -19,6 +19,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -27,24 +28,46 @@ import numpy as np
 from .errors import require
 from .sieve import primes_upto
 
-_LI_DPS = 30
+# li is summed in 40 digits: up to x = 1e300 the largest term of its series
+# is at most about 100 times the sum, so the cancellation leaves far more
+# digits than a double's 17
+_LI_CONTEXT = Context(prec=40)
+
+
+def _li_minus_gamma(x: float) -> Decimal:
+    """li(x) - gamma, li integrated from 0, by Ramanujan's series: log log x
+    + sqrt(x) * sum over n >= 1 of (-1)^(n-1) (log x)^n / (n! 2^(n-1)) *
+    sum over 2k+1 <= n of 1/(2k+1), until n > log x and the last term is
+    below 1e-38 of the sum."""
+    with localcontext(_LI_CONTEXT):
+        log_x = Decimal(x).ln()
+        term, odd_sum, total, n = log_x, Decimal(1), log_x, 1
+        while n <= log_x or abs(term * odd_sum) >= abs(total).scaleb(-38):
+            n += 1
+            term *= -log_x / (2 * n)
+            if n % 2:
+                odd_sum += Decimal(1) / n
+            total += term * odd_sum
+        return log_x.ln() + Decimal(x).sqrt() * total
+
+
+_LI_MINUS_GAMMA_2 = _li_minus_gamma(2.0)
 
 
 @lru_cache(maxsize=512)
 def _li_cached(x: float) -> float:
-    # imported here so that only the commands that need li load mpmath
-    import mpmath
-
-    with mpmath.workdps(_LI_DPS):
-        return float(mpmath.li(x, offset=True))
+    if x == math.inf:
+        return x
+    # gamma cancels in the difference, which is rounded to a double once
+    return float(_LI_CONTEXT.subtract(_li_minus_gamma(x), _LI_MINUS_GAMMA_2))
 
 
 def log_integral(x: float) -> float:
-    """li(x) = integral from 2 to x of dt/log t (so li(2) = 0).
+    """li(x) = integral from 2 to x of dt/log t (so li(2) = 0, li(inf) = inf).
 
-    Computed in 30-digit working precision; the quadrature error is far
-    below 1e-9 throughout x <= 1e12 (the returned double rounds the exact
-    value to nearest).
+    The difference of Ramanujan's series at x and at 2, rounded to a double
+    once; tests/test_progressions.py holds it, bit for bit, to a 30-digit
+    arbitrary-precision li for x from 2 to 2^63 and at 1e300.
     """
     require(x >= 2, "log_integral needs x >= 2")
     return _li_cached(float(x))

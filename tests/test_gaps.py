@@ -200,7 +200,8 @@ def test_interval_fractions_partition():
 
 def test_interval_mean_within_4_sigma_of_exact():
     stats = interval_count_distribution(10**5, 20_000, seed=3)
-    assert abs(stats.empirical_mean - stats.exact_mean) <= 4 * stats.mean_sigma()
+    sigma = stats.empirical_std / math.sqrt(stats.n_samples)  # standard error of the mean
+    assert abs(stats.empirical_mean - stats.exact_mean) <= 4 * sigma
 
 
 def test_interval_real_primes_baseline(baseline):

@@ -19,9 +19,12 @@ EXPORTS = {
 }
 
 
-def loaded_after(code: str) -> set:
-    """Names of the numpy and mpmath modules a fresh interpreter holds after code."""
-    probe = code + "\nimport sys\nprint(*{'numpy', 'mpmath'} & set(sys.modules))"
+def loaded_after(code: str, blocked=()) -> set:
+    """Names of the numpy and mpmath modules a fresh interpreter holds after
+    code, run with each module named in blocked made unimportable first."""
+    block = "".join(f"sys.modules[{name!r}] = None\n" for name in blocked)
+    probe = (f"import sys\n{block}{code}\n"
+             "print(*{'numpy', 'mpmath'} & {n for n, m in sys.modules.items() if m is not None})")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -29,13 +32,13 @@ def loaded_after(code: str) -> set:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def after_commands(*argvs) -> set:
+def after_commands(*argvs, blocked=()) -> set:
     """loaded_after running each CLI argument list in one process, output discarded."""
     runs = "\n".join(
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
         for argv in argvs
     )
-    return loaded_after(f"import contextlib, io\nfrom primegaps.cli import main\n{runs}")
+    return loaded_after(f"import contextlib, io\nfrom primegaps.cli import main\n{runs}", blocked)
 
 
 def test_package_and_cli_import_neither_numpy_nor_mpmath():
@@ -65,8 +68,9 @@ def test_sieve_tuple_and_gpy_commands_run_without_mpmath():
     ["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "8"],
     ["montgomery", "--x", "1000", "--q-max", "5"],
 ], ids=lambda argv: argv[0])
-def test_progression_commands_load_mpmath(argv):
-    assert after_commands(argv) == {"numpy", "mpmath"}
+def test_progression_commands_load_numpy_alone(argv):
+    assert after_commands(argv) == {"numpy"}
+    assert after_commands(argv, blocked=["mpmath"]) == {"numpy"}
 
 
 def test_package_exports_exactly_the_documented_names():

@@ -104,7 +104,7 @@ def test_polynomial_spec_validation():
     with pytest.raises(PreconditionError):
         PolynomialSpec.from_coeffs([0, 0, 2], 2)     # P(1) = 2
     spec = PolynomialSpec.from_coeffs([0, 0, Fraction(1, 2), Fraction(1, 2)], 2)
-    assert spec(Fraction(1)) == 1
+    assert spec.poly(Fraction(1)) == 1
 
 
 def test_power_spec_shape():

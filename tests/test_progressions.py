@@ -61,6 +61,34 @@ def test_li_derivative_matches_integrand():
         assert deriv == pytest.approx(1 / math.log(x), rel=1e-6)
 
 
+# the ends of the domain, 10^k, and the checkpoints of bv-scan --x 1e7 (the
+# ap-scan workload) and of the doubled grid of the README's --sensitivity run
+LI_GRID = [
+    2.0, math.nextafter(2.0, math.inf), 2.5, 3.0,
+    *(10.0**k for k in range(1, 19)), float(2**63 - 1), 1e300,
+    *bv_checkpoints(10**7, 64).tolist(), *bv_checkpoints(10**6, 128).tolist(),
+]
+
+
+def mpmath_li(x: float) -> float:
+    """li(x) - li(2) by mpmath's own li at 30 digits, rounded to a double."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return float(mpmath.li(x, offset=True))
+
+
+def test_log_integral_equals_mpmath_bit_for_bit():
+    assert [log_integral(x) for x in LI_GRID] == [mpmath_li(x) for x in LI_GRID]
+    assert log_integral(math.inf) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=2, max_value=2.0**63, exclude_max=True))
+def test_log_integral_equals_mpmath_on_random_floats(x):
+    assert log_integral(x) == mpmath_li(x)
+
+
 def test_li_pnt_ratio_baseline(baseline):
     x = 1e8
     ratio = log_integral(x) * math.log(x) / x
