@@ -248,23 +248,25 @@ def quadratic_forms(
         den.append(np.add.reduce(block))
         if H.k >= 2:
             num.append(np.add.reduce(block[odd_at + 2 * np.flatnonzero(next(flags))]))
+    # S(H) once for both forms, and not at all when R < 2 leaves them no
+    # asymptotic: a wide H at its default level is costly to evaluate
+    ss = singular_series(H).value if w.R >= 2 else math.nan
     forms = (FormEvaluation(
-        math.fsum(den), x * _diagonal_form(w.lam, H, 0), _asymptotic(w, H, x, 0)),)
+        math.fsum(den), x * _diagonal_form(w.lam, H, 0), _asymptotic(w, ss, x, 0)),)
     if H.k >= 2:
         form_value = x / math.log(x) * _diagonal_form(w.lam, H, 1)
-        forms += (FormEvaluation(math.fsum(num), form_value, _asymptotic(w, H, x, 1), j=j),)
+        forms += (FormEvaluation(math.fsum(num), form_value, _asymptotic(w, ss, x, 1), j=j),)
     return forms
 
 
-def _asymptotic(w: WeightScheme, H: OffsetTuple, x: int, s: int) -> float:
+def _asymptotic(w: WeightScheme, ss: float, x: int, s: int) -> float:
     """Beta-integral main term of the denominator (s = 0) or numerator
     (s = 1) form, x/((log x)^s (log R)^m) * S(H) * integral_0^1
-    y^(m-1)/(m-1)! P^(m)(1-y)^2 dy with m = k - s."""
+    y^(m-1)/(m-1)! P^(m)(1-y)^2 dy with m = k - s, given ss = S(H)."""
     if w.R < 2 or w.P.k <= s:
         return math.nan
     m = w.P.k - s
     integral = weighted_square_integral(w.P.poly.deriv(m), m - 1)
-    ss = singular_series(H).value
     log_x_s = math.log(x) if s else 1.0
     return x / (log_x_s * math.log(w.R) ** m) * ss * float(integral)
 

@@ -44,6 +44,8 @@ class SieveSegment:
 
     def primes(self) -> np.ndarray:
         """Primes in [lo, hi) as an int64 array."""
+        # in place, one array per window: 2 * np.flatnonzero(odd) + (lo | 1)
+        # peaks 6 to 8 MB higher on gaps, ap-table and intervals
         out = np.flatnonzero(self.odd).astype(np.int64, copy=False)
         out *= 2
         out += self.lo | 1
