@@ -391,7 +391,7 @@ def _cmd_ap_table(args):
 
 
 def _cmd_bv_scan(args):
-    from .progressions import bv_scan, require_checkpoints
+    from .progressions import bv_scan, bv_scans, require_checkpoints
 
     _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
     _guard(args.force, args.q_max <= MAX_BV_MODULI, "q_max beyond budget")
@@ -401,7 +401,12 @@ def _cmd_bv_scan(args):
             require_checkpoints(args.x, 2 * args.checkpoints)
         except PreconditionError as exc:
             raise PreconditionError(f"--sensitivity doubles the grid: {exc}") from None
-    res = bv_scan(args.x, args.q_max, args.checkpoints, args.threads)
+    if args.sensitivity:
+        # the doubled grid's top half is the plain grid: one scan gives both
+        res, res2 = bv_scans(args.x, args.q_max, (args.checkpoints, 2 * args.checkpoints),
+                             args.threads)
+    else:
+        res = bv_scan(args.x, args.q_max, args.checkpoints, args.threads)
     rows = [
         {
             "q": q,
@@ -422,7 +427,6 @@ def _cmd_bv_scan(args):
         "scan above is evaluated"
     )
     if args.sensitivity:
-        res2 = bv_scan(args.x, args.q_max, 2 * args.checkpoints, args.threads)
         meta["sensitivity_total_2x_checkpoints"] = res2.total
         meta["sensitivity_delta"] = res2.total - res.total
     return ["q", "max_abs_error", "checkpoint_argmax_y"], rows, meta
@@ -454,9 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for the modulus scans of bv-scan and "
-                             "montgomery (other subcommands accept and ignore it); "
-                             "output is identical at any value >= 1")
+                        help="worker processes for the modulus scans of bv-scan and "
+                             "montgomery, at most one per core and one per top (other "
+                             "subcommands accept and ignore it); output is identical "
+                             "at any value >= 1")
     guarded = argparse.ArgumentParser(add_help=False, parents=[common])
     guarded.add_argument("--force", action="store_true",
                          help="override the size guardrails")

@@ -14,13 +14,11 @@ desk scale, not a certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -102,7 +100,7 @@ class APErrorRecord:
     error: float
 
 
-# _top_counts reduces its primes mod top this many (512 KiB of int64) at a time
+# _top_counts reduces its primes mod top this many at a time
 _RESIDUE_BLOCK = 1 << 16
 
 
@@ -118,51 +116,86 @@ def _top_counts(primes: np.ndarray, ends, top: int) -> np.ndarray:
 
     Each checkpoint slice primes[ends[j-1]:ends[j]] is reduced
     _RESIDUE_BLOCK primes at a time, so the residues held at once are one
-    block, never a slice of the table."""
+    block, never a slice of the table.  A block b is reduced as
+    b - (b // top) * top: numpy divides by one scalar through a precomputed
+    multiplier, which its `%` does not, and in uint32 (when the largest
+    prime and top are below 2^32) that is about six times faster than `%`
+    in int64."""
+    small = max(int(primes[-1]) if len(primes) else 0, top) < 1 << 32
+    dtype = np.uint32 if small else np.int64
     C = np.zeros((len(ends), top), dtype=np.int64)
     for j, (start, end) in enumerate(zip([0, *ends], ends)):
         for lo in range(start, end, _RESIDUE_BLOCK):
-            C[j] += np.bincount(primes[lo : min(lo + _RESIDUE_BLOCK, end)] % top, minlength=top)
+            b = primes[lo : min(lo + _RESIDUE_BLOCK, end)].astype(dtype)
+            C[j] += np.bincount(b - b // top * top, minlength=top)
     return np.cumsum(C, axis=0, out=C)
 
 
-def _class_counts(primes: np.ndarray, ends, q_lo: int, q_hi: int, threads: int = 1):
-    """Yield (q, C) once for each modulus q in [q_lo, q_hi]: the tops
-    q_hi, q_hi - 1, ... in descending order, each followed by its folds.
+def _fold_chain(primes: np.ndarray, ends, q_lo: int, measure, top: int) -> list:
+    """[(q, measure(q, C))] for the moduli q = top, top/2, ... of one chain.
 
     C is the (len(ends), q) count matrix: C[j, a] counts the primes in
-    primes[:ends[j]] that are = a (mod q).  The primes are reduced only
-    mod the tops q_hi, q_hi - 1, ... down to max(q_hi // 2, q_lo - 1) + 1;
-    every smaller modulus is top / 2^k for exactly one top.  Since the
-    class a mod q is the union of the classes a and a + q mod 2q, each
-    chain top, top/2, ... is walked by folding C[:, :q] + C[:, q:] while
-    the modulus is even and its half stays >= q_lo.  The counts are exact.
+    primes[:ends[j]] that are = a (mod q).  Only top is reduced; since the
+    class a mod q is the union of the classes a and a + q mod 2q, the chain
+    folds C[:, :q] + C[:, q:] while q is even and q/2 >= q_lo.  The counts
+    are exact."""
+    C = _top_counts(primes, ends, top)
+    q = top
+    measured = [(q, measure(q, C))]
+    while q % 2 == 0 and q // 2 >= q_lo:
+        q //= 2
+        C = C[:, :q] + C[:, q:]
+        measured.append((q, measure(q, C)))
+    return measured
 
-    The tops are reduced on a pool of min(threads, cpu count, tops)
-    worker threads, at most two per worker in flight; the results are
-    taken in the fixed descending order above, so the yielded sequence
-    does not depend on threads.  Closing the generator early finishes the
-    tops already submitted and joins the workers.
+
+# the chain function of the scan a forked worker serves, set in the worker
+_worker_chain = None
+
+
+def _start_worker(chain) -> None:
+    global _worker_chain
+    _worker_chain = chain
+
+
+def _run_worker_chain(top: int) -> list:
+    return _worker_chain(top)
+
+
+def _scan(primes: np.ndarray, ends, q_lo: int, q_hi: int, measure, threads: int = 1) -> dict:
+    """{q: measure(q, C)} for each modulus q in [q_lo, q_hi], keys ascending,
+    with C the count matrix of _fold_chain.
+
+    The primes are reduced only mod the tops q_hi, q_hi - 1, ... down to
+    max(q_hi // 2, q_lo - 1) + 1; every smaller modulus is top / 2^k for
+    exactly one top, and is measured on that top's fold chain.  The chains
+    are walked on min(threads, cpu count, tops) worker processes forked
+    from this one: each inherits the primes, ends and measure, so none of
+    them is pickled and no count matrix crosses a pipe, only the measures.
+    One worker, or a platform without fork, walks them in this process.
+    Every pool is joined before _scan returns or raises, and the result
+    does not depend on threads.
     """
-    # imported here, not with the module: only the scans need it, and it
-    # would add its import time to the start-up of every subcommand
-    from concurrent.futures import ThreadPoolExecutor
-
     require(threads >= 1, "threads must be at least 1")
     tops = range(q_hi, max(q_hi // 2, q_lo - 1), -1)
     workers = min(threads, os.cpu_count() or 1, len(tops))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = (pool.submit(_top_counts, primes, ends, top) for top in tops)
-        pending = deque(itertools.islice(futures, 2 * workers))
-        while pending:
-            C = pending.popleft().result()
-            pending.extend(itertools.islice(futures, 1))
-            q = C.shape[1]
-            yield q, C
-            while q % 2 == 0 and q // 2 >= q_lo:
-                q //= 2
-                C = C[:, :q] + C[:, q:]
-                yield q, C
+    chain = partial(_fold_chain, primes, ends, q_lo, measure)
+    chains = None
+    if workers > 1:
+        # imported here, not with the module: only the scans need it, and it
+        # would add its import time to the start-up of every subcommand
+        import multiprocessing
+
+        # fork, not the platform default: spawn and forkserver would pickle
+        # the prime table to every worker.  The workers call no BLAS, so the
+        # idle BLAS threads numpy may hold in this process cannot stall them
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            with fork.Pool(workers, _start_worker, (chain,)) as pool:
+                chains = pool.map(_run_worker_chain, tops)
+    if chains is None:
+        chains = map(chain, tops)
+    return dict(sorted(pair for measured in chains for pair in measured))
 
 
 def error_table(x: int, q: int) -> ErrorTable:
@@ -229,39 +262,56 @@ def bv_scan(x: int, Q_max: int, n_checkpoints: int = 64, threads: int = 1) -> BV
 
     One sieve pass provides all primes.  The primes between consecutive
     checkpoints are bincounted by class and accumulated, mod q only for
-    q > Q_max/2, on up to `threads` worker threads; every smaller modulus
+    q > Q_max/2, on up to `threads` worker processes; every smaller modulus
     folds the counts of 2q.  Deterministic: identical parameters give
     bit-identical results, at any number of threads.
     """
+    return bv_scans(x, Q_max, (n_checkpoints,), threads)[0]
+
+
+def bv_scans(x: int, Q_max: int, grid_sizes, threads: int = 1) -> list[BVScanResult]:
+    """[bv_scan(x, Q_max, n, threads) for n in grid_sizes], from one scan.
+
+    The grid of n points is, bit for bit, the top n points of the grid of
+    N = max(grid_sizes) points, and so are its prime counts and li values.
+    So the classes are counted once, on the N grid, and each modulus takes
+    the maximum of its row maxima over the top n rows for every n.
+    """
     require(x >= 100, "x must be at least 100")
     require(1 <= Q_max <= x, "need 1 <= Q_max <= x")
-    require_checkpoints(x, n_checkpoints)
-    cps = bv_checkpoints(x, n_checkpoints)
+    require(len(grid_sizes) >= 1, "need at least one grid")
+    for n in grid_sizes:
+        require_checkpoints(x, n)
+    N = max(grid_sizes)
+    cps = bv_checkpoints(x, N)
     primes = primes_upto(x)
     ends = np.searchsorted(primes, cps, side="right")
     li_vals = np.array([log_integral(float(y)) for y in cps])
-    per_q: dict[int, float] = {}
-    argmax: dict[int, float] = {}
-    for q, C in _class_counts(primes, ends, 1, Q_max, threads):
+    starts = [N - n for n in grid_sizes]
+
+    def measure(q, C):
+        """The maximum of |E(y; q)| over the grid points from each start,
+        and the first point y where it occurs."""
         reduced = _reduced_residues(q)
-        errs = np.abs(C[:, reduced] - li_vals[:, None] / len(reduced))
-        row_max = errs.max(axis=1)
-        j_best = int(row_max.argmax())
-        per_q[q] = float(row_max[j_best])
-        argmax[q] = float(cps[j_best])
-    per_q, argmax = dict(sorted(per_q.items())), dict(sorted(argmax.items()))
-    total = math.fsum(per_q.values())
+        row_max = np.abs(C[:, reduced] - li_vals[:, None] / len(reduced)).max(axis=1)
+        best = [s + int(row_max[s:].argmax()) for s in starts]
+        return [(float(row_max[j]), float(cps[j])) for j in best]
+
+    found = _scan(primes, ends, 1, Q_max, measure, threads)
     logx = math.log(x)
-    normalized = {A: total * logx**A / x for A in (1, 2, 3)}
-    reference = {A: math.sqrt(x) / logx ** (24 * A + 46) for A in (1, 2, 3)}
-    return BVScanResult(
-        checkpoints=tuple(float(y) for y in cps),
-        per_q=per_q,
-        argmax_y=argmax,
-        total=total,
-        normalized=normalized,
-        reference_q_bound=reference,
-    )
+    results = []
+    for i, s in enumerate(starts):
+        per_q = {q: m[i][0] for q, m in found.items()}
+        total = math.fsum(per_q.values())
+        results.append(BVScanResult(
+            checkpoints=tuple(float(y) for y in cps[s:]),
+            per_q=per_q,
+            argmax_y={q: m[i][1] for q, m in found.items()},
+            total=total,
+            normalized={A: total * logx**A / x for A in (1, 2, 3)},
+            reference_q_bound={A: math.sqrt(x) / logx ** (24 * A + 46) for A in (1, 2, 3)},
+        ))
+    return results
 
 
 def montgomery_ratios(x: int, q_min: int, q_max: int, eps: float,
@@ -271,7 +321,7 @@ def montgomery_ratios(x: int, q_min: int, q_max: int, eps: float,
     The conjectured square-root-of-q savings says these stay bounded for
     all q <= x once eps > 0.  E(x; q) is error_table(x, q).max_abs_error,
     computed from the folded class counts without per-class records, on
-    up to `threads` worker threads; the keys ascend."""
+    up to `threads` worker processes; the keys ascend."""
     require(x >= 2, "x must be at least 2")
     require(q_min >= 1, "q_min must be positive")
     require(q_min <= q_max, f"empty modulus range: q_min {q_min} > q_max {q_max}")
@@ -279,9 +329,11 @@ def montgomery_ratios(x: int, q_min: int, q_max: int, eps: float,
     require(eps >= 0, "eps must be nonnegative")
     primes = primes_upto(x)
     li_x = log_integral(x)
-    ratios = {}
-    for q, C in _class_counts(primes, [len(primes)], q_min, q_max, threads):
+
+    def measure(q, C):
+        """E(x; q), from the one row of C."""
         reduced = _reduced_residues(q)
-        E = float(np.abs(C[0, reduced] - li_x / len(reduced)).max())
-        ratios[q] = E * math.sqrt(q) / x ** (0.5 + eps)
-    return dict(sorted(ratios.items()))
+        return float(np.abs(C[0, reduced] - li_x / len(reduced)).max())
+
+    found = _scan(primes, [len(primes)], q_min, q_max, measure, threads)
+    return {q: E * math.sqrt(q) / x ** (0.5 + eps) for q, E in found.items()}

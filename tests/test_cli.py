@@ -2,10 +2,10 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent import futures
 
 import pytest
 
@@ -119,13 +119,15 @@ def test_threads_below_one_exits_2_on_every_subcommand(threads, capsys):
 
 
 def _recording_pool(monkeypatch):
-    """Replace the scan's thread pool by one that records the worker count it
-    is asked for and runs each task at once, on the calling thread."""
+    """Replace the scan's forked process pool by one that records the number
+    of processes it is asked for and walks each chain at once, in this
+    process, so that a large patched core count starts no process."""
     asked = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            (self.chain,) = initargs
 
         def __enter__(self):
             return self
@@ -133,33 +135,39 @@ def _recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, tops):
+            return [self.chain(top) for top in tops]
 
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
     return asked
 
 
-def test_thread_pool_bounded_by_tops_and_cores(monkeypatch):
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the scans walk every chain in-process without fork")
+def test_process_pool_bounded_by_tops_and_cores(monkeypatch):
     serial_montgomery = run_cli(["montgomery", "--x", "5000", "--q-min", "5", "--q-max", "5"])
     serial_bv = run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "1"])
+    serial_sensitivity = run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--checkpoints", "8",
+                                  "--sensitivity", "--threads", "1"])
     asked = _recording_pool(monkeypatch)
-    # one modulus is one top
+    # one modulus is one top, walked in this process: no pool is started
     assert run_cli(["montgomery", "--x", "5000", "--q-min", "5", "--q-max", "5",
                     "--threads", "10000"]) == serial_montgomery
-    assert asked == [1]
-    # q in (10, 20] are the tops of q <= 20
-    asked.clear()
+    assert asked == []
+    # q in (10, 20] are the tops of q <= 20; a single core walks them in this process
     assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "10000"]) == serial_bv
-    assert asked == [min(os.cpu_count() or 1, 10)]
-    # with cores to spare, the tops bound the pool of every scan
+    cores = min(os.cpu_count() or 1, 10)
+    assert asked == ([cores] if cores > 1 else [])
+    # with cores to spare, the tops bound the pool of every scan, and
+    # --sensitivity scans once
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     asked.clear()
     assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--checkpoints", "8",
-                    "--sensitivity", "--threads", "10000"])[0] == 0
-    assert asked == [10, 10]
+                    "--sensitivity", "--threads", "10000"]) == serial_sensitivity
+    assert asked == [10]
     asked.clear()
     assert run_cli(["montgomery", *FAST_ARGS["montgomery"], "--threads", "10000"])[0] == 0
     assert asked == [6]
@@ -466,8 +474,8 @@ def test_intervals_peak_grows_by_its_sorted_starts_alone():
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_montgomery_peak_is_that_of_its_table(threads):
     # both commands hold the table primes_upto(4e7) (19.5 MB); montgomery
-    # reduces it mod up to two tops per worker at once, a block of primes
-    # at a time, so its residues add no table-sized array
+    # reduces it a block of primes at a time, in this process or in forked
+    # workers, so its residues add no table-sized array
     table = peak_rss_kib("ap-table", "--q", "20", "--x", "4e7", "--threads", threads)
     scan = peak_rss_kib("montgomery", "--q-max", "20", "--x", "4e7", "--threads", threads)
     assert abs(scan - table) < 8 * 1024, (table, scan)

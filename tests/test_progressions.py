@@ -1,6 +1,6 @@
 import math
+import multiprocessing
 import os
-import sys
 import threading
 
 import numpy as np
@@ -16,7 +16,7 @@ from primegaps.progressions import (
     log_integral,
     montgomery_ratios,
 )
-from primegaps.progressions import _class_counts, bv_checkpoints
+from primegaps.progressions import _scan, _top_counts, bv_checkpoints, bv_scans
 from primegaps.sieve import primes_upto
 
 from conftest import simpson_log_integral, trial_division_primes
@@ -306,6 +306,10 @@ def test_folded_counts_edge_cases(case):
     _check_fold(*case)
 
 
+def _counts(q, C):
+    return C
+
+
 @pytest.mark.parametrize("x, ends, q_lo, q_hi", [
     (1000, None, 1, 1),          # Q = 1: one top
     (20000, None, 64, 64),       # q_lo == q_hi: one top, no folds
@@ -314,39 +318,65 @@ def test_folded_counts_edge_cases(case):
     (20000, [0, 0, 5], 3, 40),   # empty leading slices
 ])
 def test_class_counts_independent_of_threads(monkeypatch, x, ends, q_lo, q_hi):
-    # more workers than this host may have cores, switching threads often
+    # more workers than this host may have cores
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     primes = primes_upto(x)
     if ends is None:
         ends = np.searchsorted(primes, bv_checkpoints(x, 8), side="right")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        serial = list(_class_counts(primes, ends, q_lo, q_hi, threads=1))
-        pooled = list(_class_counts(primes, ends, q_lo, q_hi, threads=3))
-    finally:
-        sys.setswitchinterval(interval)
-    assert [q for q, _ in serial] == [q for q, _ in pooled]
-    assert sorted(q for q, _ in serial) == list(range(q_lo, q_hi + 1))
-    for (q, C), (_, D) in zip(serial, pooled):
+    serial = _scan(primes, ends, q_lo, q_hi, _counts, threads=1)
+    pooled = _scan(primes, ends, q_lo, q_hi, _counts, threads=3)
+    assert list(serial) == list(pooled) == list(range(q_lo, q_hi + 1))
+    for q, C in serial.items():
         assert C.shape == (len(ends), q)
-        assert np.array_equal(C, D), q
+        assert np.array_equal(C, pooled[q]), q
 
 
 def test_class_counts_rejects_no_threads():
     with pytest.raises(PreconditionError):
-        next(_class_counts(primes_upto(100), [25], 1, 10, threads=0))
+        _scan(primes_upto(100), [25], 1, 10, _counts, threads=0)
 
 
-def test_scans_leave_no_threads_running():
+@pytest.mark.parametrize("block", [3, 5, 1 << 16])
+def test_top_counts_in_uint32_and_int64(monkeypatch, block):
+    """Both dtype branches against a `%` referee, with blocks that cut the
+    checkpoint slices; the arrays stand for sorted primes."""
+    monkeypatch.setattr(progressions, "_RESIDUE_BLOCK", block)
+    below = np.array([3, 5, 7, 2**31 - 1, 2**32 - 5, 2**32 - 1], dtype=np.int64)
+    straddling = np.append(below, [2**32, 2**32 + 1, 2**40 - 87, 2**40 + 15]).astype(np.int64)
+    for primes in (below, straddling):
+        for ends in ([len(primes)], [0, 2, 2, len(primes) - 1, len(primes)]):
+            for top in (1, 2, 64, 97, 1000):
+                expected = np.cumsum([np.bincount(s % top, minlength=top)
+                                      for s in np.split(primes[:ends[-1]], ends[:-1])], axis=0)
+                assert np.array_equal(_top_counts(primes, ends, top), expected), (ends, top)
+
+
+def test_bv_scans_equal_separate_scans():
+    for x, sizes in ((10**4, (8, 16)), (12_345, (3, 46, 20))):
+        for threads in (1, 2):
+            scans = bv_scans(x, 60, sizes, threads)
+            assert scans == [bv_scan(x, 60, n, 1) for n in sizes], (x, sizes)
+
+
+def _raise_in_worker(q, C):
+    raise ValueError(os.getpid())
+
+
+def test_scans_leave_no_threads_running(monkeypatch):
     before = threading.active_count()
     error_table(10**4, 30)
     bv_scan(10**4, 50, 8, threads=2)
+    assert multiprocessing.active_children() == []
     montgomery_ratios(10**4, 2, 50, 0.0, threads=2)
-    # a generator closed after its first result joins its workers too
-    counts = _class_counts(primes_upto(10**4), [1229], 1, 50, threads=2)
-    next(counts)
-    counts.close()
+    assert multiprocessing.active_children() == []
+    # a measure that raises in a worker reaches the caller, and the pool is
+    # still joined
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError) as raised:
+        _scan(primes_upto(10**4), [1229], 1, 50, _raise_in_worker, threads=2)
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert raised.value.args[0] != os.getpid()
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == before
 
 
