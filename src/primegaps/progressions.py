@@ -84,7 +84,10 @@ def pi_ap(x: int, q: int, a: int) -> int:
     """
     require(x >= 0, "x must be nonnegative")
     require(q >= 1, "q must be positive")
-    return int((primes_upto(x) % q == a % q).sum())
+    primes = primes_upto(x)
+    # every prime of the uint32 table is its own residue mod q >= 2^32
+    residues = primes % q if q < 1 << 32 else primes
+    return int(np.count_nonzero(residues == a % q))
 
 
 @dataclass(frozen=True)
@@ -116,17 +119,14 @@ def _top_counts(primes: np.ndarray, ends, top: int) -> np.ndarray:
 
     Each checkpoint slice primes[ends[j-1]:ends[j]] is reduced
     _RESIDUE_BLOCK primes at a time, so the residues held at once are one
-    block, never a slice of the table.  A block b is reduced as
-    b - (b // top) * top: numpy divides by one scalar through a precomputed
-    multiplier, which its `%` does not, and in uint32 (when the largest
-    prime and top are below 2^32) that is about six times faster than `%`
-    in int64."""
-    small = max(int(primes[-1]) if len(primes) else 0, top) < 1 << 32
-    dtype = np.uint32 if small else np.int64
+    block, never a slice of the table.  A block b, a view of the uint32
+    table, is reduced with no copy as b - (b // top) * top: numpy divides
+    by one scalar through a precomputed multiplier, which its `%` does not,
+    and in uint32 that is about six times faster than `%` in int64."""
     C = np.zeros((len(ends), top), dtype=np.int64)
     for j, (start, end) in enumerate(zip([0, *ends], ends)):
         for lo in range(start, end, _RESIDUE_BLOCK):
-            b = primes[lo : min(lo + _RESIDUE_BLOCK, end)].astype(dtype)
+            b = primes[lo : min(lo + _RESIDUE_BLOCK, end)]
             C[j] += np.bincount(b - b // top * top, minlength=top)
     return np.cumsum(C, axis=0, out=C)
 
@@ -285,7 +285,9 @@ def bv_scans(x: int, Q_max: int, grid_sizes, threads: int = 1) -> list[BVScanRes
     N = max(grid_sizes)
     cps = bv_checkpoints(x, N)
     primes = primes_upto(x)
-    ends = np.searchsorted(primes, cps, side="right")
+    # primes are integers, so those <= y are those <= floor(y); a key of the
+    # table's dtype keeps numpy from casting the whole table to float64
+    ends = np.searchsorted(primes, np.floor(cps).astype(primes.dtype), side="right")
     li_vals = np.array([log_integral(float(y)) for y in cps])
     starts = [N - n for n in grid_sizes]
 

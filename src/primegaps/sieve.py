@@ -45,7 +45,7 @@ class SieveSegment:
     def primes(self) -> np.ndarray:
         """Primes in [lo, hi) as an int64 array."""
         # in place, one array per window: 2 * np.flatnonzero(odd) + (lo | 1)
-        # peaks 6 to 8 MB higher on gaps, ap-table and intervals
+        # peaks 6 to 8 MB higher on gaps and intervals
         out = np.flatnonzero(self.odd).astype(np.int64, copy=False)
         out *= 2
         out += self.lo | 1
@@ -57,31 +57,43 @@ class SieveSegment:
 # ---------------------------------------------------------------------------
 # base primes (grown on demand by the segmented sieve itself)
 
-_base = np.empty(0, dtype=np.int64)  # every prime below _base_limit
+# Every prime the table holds is below 2^32, so it is kept as uint32: the
+# sieve's base primes stop at isqrt(2^63 - 1) + 1, below 3.04e9, and
+# factorize needs primes up to 2^32 only.
+_TABLE_LIMIT = 1 << 32
+_base = np.empty(0, dtype=np.uint32)  # every prime below _base_limit
 _base_limit = 0
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    """All primes < limit: a read-only prefix view of the one prime table.
+    """All primes < limit, for limit <= 2^32: a read-only prefix view of
+    the one uint32 prime table.
 
-    The table is sieved by primes_between and grows at least twofold.
-    Sieving [0, grow) needs only the primes below isqrt(grow - 1) + 1,
-    which is less than grow once grow >= 3, and primes_between returns at
-    once for grow <= 2, so the bootstrap recursion ends.
+    The table is sieved by primes_between and grows at least twofold, up
+    to 2^32.  Sieving [0, grow) needs only the primes below
+    isqrt(grow - 1) + 1, which is less than grow once grow >= 3, and
+    primes_between returns at once for grow <= 2, so the bootstrap
+    recursion ends.
     """
     global _base, _base_limit
+    require(limit <= _TABLE_LIMIT, f"the prime table holds only the primes below 2^32, "
+            f"and {limit - 1} is past it")
     if limit > _base_limit:
-        grow = max(limit, 2 * _base_limit)
+        grow = min(max(limit, 2 * _base_limit), _TABLE_LIMIT)
         _base = primes_between(0, grow)
         _base.flags.writeable = False
         _base_limit = grow
         _clear_views()
-    return _base[: int(np.searchsorted(_base, limit))]
+    # a key of the table's dtype: with a Python int, numpy would cast the
+    # whole table to int64 to compare it
+    end = np.searchsorted(_base, np.uint32(max(limit, 1) - 1), side="right")
+    return _base[: int(end)]
 
 
 @lru_cache(maxsize=8)
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n: a read-only view of the base prime table.
+    """All primes <= n, for n < 2^32: a read-only uint32 view of the base
+    prime table.
 
     The cache is cleared whenever the table grows, so it never pins a
     superseded table."""
@@ -165,8 +177,11 @@ def sieve_range(lo: int, hi: int) -> SieveSegment:
     n = len(odd)
     # primes with many strikes per block strike block by block, so the
     # strided writes stay in cache; the rest walk the whole segment, and
-    # those with at most one strike in it are struck in one fancy index
-    small, mid, big = np.split(ps, np.searchsorted(ps, [min(_SMALL, n), n]))
+    # those with at most one strike in it are struck in one fancy index.
+    # _first_strikes computes (-lo) % p and p * p, so each group is cast
+    # from the table's uint32 to int64
+    cuts = np.searchsorted(ps, np.array([min(_SMALL, n), n], dtype=ps.dtype))
+    small, mid, big = (g.astype(np.int64) for g in np.split(ps, cuts))
     for b in range(0, n, _BLOCK):
         view = odd[b : b + _BLOCK]
         for j, p in zip(_first_strikes(o + 2 * b, small).tolist(), small.tolist()):
@@ -227,23 +242,38 @@ def _prime_count_bound(lo: int, hi: int) -> int:
     return min((hi - lo + 1) // 2 + 1, int(1.25506 * hi / math.log(hi)) + 1)
 
 
-def primes_between(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi) as an int64 array.
+# primes_between turns this many odd flags of a window into primes at a
+# time, so its index temporary is a few hundred KB, never a window's worth
+_FILL_BLOCK = 1 << 18
 
-    Each segment's primes are copied into one buffer sized by
-    _prime_count_bound, whose pages past the last prime are never
-    touched, and the buffer is shrunk in place; the peak is the primes
-    and one segment, not the primes twice."""
+
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi) as a uint32 array, for hi <= 2^32.
+
+    The primes are written straight into one buffer sized by
+    _prime_count_bound, _FILL_BLOCK odd flags of a window at a time; its
+    pages past the last prime are never touched, and the buffer is shrunk
+    in place.  The peak is the primes and one window, with no copy of a
+    window's primes beside them."""
+    require(hi <= _TABLE_LIMIT, f"primes_between stores uint32 primes, so hi {hi} "
+            "may not pass 2^32")
     if hi <= max(lo, 2):
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.uint32)
     lo = max(lo, 0)
-    out = np.empty(_prime_count_bound(lo, hi), dtype=np.int64)
+    out = np.empty(_prime_count_bound(lo, hi), dtype=np.uint32)
     n = 0
+    if lo <= 2:  # 2 < hi here, and the windows do not store it
+        out[0] = 2
+        n = 1
     for seg in iter_windows(lo, hi):
-        ps = seg.primes()
-        out[n : n + len(ps)] = ps
-        n += len(ps)
-        del seg, ps  # freed before the next segment is sieved, not after
+        o = seg.lo | 1
+        for b in range(0, len(seg.odd), _FILL_BLOCK):
+            idx = np.flatnonzero(seg.odd[b : b + _FILL_BLOCK])
+            end = n + len(idx)
+            np.multiply(idx, 2, out=out[n:end], casting="unsafe")  # below 2^19: fits
+            out[n:end] += o + 2 * b
+            n = end
+        del seg  # freed before the next window is sieved, not after
     out.resize(n, refcheck=False)  # no view of out exists yet
     return out
 

@@ -164,7 +164,8 @@ def _series_blocks(
     ell = primes.astype(np.float64)
     power = (1.0 - 1.0 / ell) ** (-k)
     shared = (1.0 - k / ell) * power
-    n_small_k = int(np.searchsorted(primes, k, side="right"))
+    # keys of the table's dtype: a Python int would cast the table to int64
+    n_small_k = int(np.searchsorted(primes, primes.dtype.type(k), side="right"))
     rows = max(1, _SERIES_CELLS // len(primes))
     stream = iter(offset_tuples)
     while block := list(itertools.islice(stream, rows)):
@@ -174,7 +175,7 @@ def _series_blocks(
             yield T, np.ones(len(T))
             continue
         top = max(int((T[:, -1] - T[:, 0]).max()), k)
-        s = int(np.searchsorted(primes, top, side="right"))
+        s = int(np.searchsorted(primes, primes.dtype.type(top), side="right"))
         res = np.sort(T[None] % primes[:s, None, None], axis=2)
         nu_arr = 1 + (np.diff(res, axis=2) != 0).sum(axis=2)
         admissible = (nu_arr[:n_small_k] < primes[:n_small_k, None]).all(axis=0)

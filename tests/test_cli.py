@@ -284,6 +284,22 @@ def test_guardrail_refuses_before_work_and_force_reaches_it(argv, entry, monkeyp
         main([*argv, "--force"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["ap-table", "--x", "5e9", "--q", "12"],
+    ["bv-scan", "--x", "5e9", "--q-max", "20"],
+    ["montgomery", "--x", "5e9", "--q-max", "20"],
+], ids=["ap-table", "bv-scan", "montgomery"])
+def test_force_stops_at_the_2_to_32_prime_table(argv, monkeypatch, capsys):
+    # the patch keeps a broken refusal from sieving a table past 2^32
+    def refuse(*args):
+        raise AssertionError("sieved past the uint32 prime table")
+
+    monkeypatch.setattr("primegaps.sieve.sieve_range", refuse)
+    code, out = run_cli([*argv, "--force"])
+    assert code == 2 and out == ""
+    assert "2^32" in capsys.readouterr().err
+
+
 def test_gpy_experiment_checks_level_before_building_weights(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("weights built before the level check")
@@ -449,13 +465,14 @@ def test_streamed_peak_is_flat_in_x(argv, x):
 
 
 def test_ap_table_peak_grows_by_its_primes_alone():
-    # ap-table reads the cached int64 table primes_upto(x), which grows by
-    # 8 bytes a prime from x to 2x (17.1 MB here); the table is built in one
-    # buffer and reduced mod q a block at a time, so no second table-sized
-    # array (the concatenated segments, the residues) adds to that
+    # ap-table reads the cached uint32 table primes_upto(x), which grows by
+    # 4 bytes a prime from x to 2x (8.5 MB here); the table is filled in one
+    # buffer straight from each window and reduced mod q a block at a time,
+    # so no second table-sized array (an int64 copy, the residues, a
+    # window's primes) adds to that
     x = 40_000_000
     small, large = (peak_rss_kib("ap-table", "--q", "30", "--x", str(size)) for size in (x, 2 * x))
-    added_kib = (4_669_382 - 2_433_654) * 8 / 1024  # pi(8e7) - pi(4e7) primes
+    added_kib = (4_669_382 - 2_433_654) * 4 / 1024  # pi(8e7) - pi(4e7) primes
     assert large - small < added_kib + 8 * 1024, (small, large, added_kib)
 
 
@@ -473,7 +490,7 @@ def test_intervals_peak_grows_by_its_sorted_starts_alone():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_montgomery_peak_is_that_of_its_table(threads):
-    # both commands hold the table primes_upto(4e7) (19.5 MB); montgomery
+    # both commands hold the table primes_upto(4e7) (9.7 MB); montgomery
     # reduces it a block of primes at a time, in this process or in forked
     # workers, so its residues add no table-sized array
     table = peak_rss_kib("ap-table", "--q", "20", "--x", "4e7", "--threads", threads)

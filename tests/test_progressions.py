@@ -1,3 +1,4 @@
+import bisect
 import math
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import pi_ap, prime_count, progressions
+from primegaps import pi_ap, prime_count, progressions, sieve, tuples
 from primegaps.errors import PreconditionError
 from primegaps.progressions import (
     bv_scan,
@@ -103,6 +104,10 @@ def test_pi_ap_examples():
     assert pi_ap(20, 4, 1) == 3            # 5, 13, 17
     assert pi_ap(100, 4, 2) == 1           # only p = 2
     assert pi_ap(100, 4, 0) == 0
+    # moduli past the uint32 table: each prime is its own residue
+    assert pi_ap(100, 2**32 - 1, 97) == pi_ap(100, 2**40, 97) == 1
+    assert pi_ap(100, 2**40, 2**40 + 97) == 1
+    assert pi_ap(100, 2**40, 98) == pi_ap(100, 2**40, 2**33) == 0
 
 
 def test_pi_ap_brute_force():
@@ -337,18 +342,62 @@ def test_class_counts_rejects_no_threads():
 
 
 @pytest.mark.parametrize("block", [3, 5, 1 << 16])
-def test_top_counts_in_uint32_and_int64(monkeypatch, block):
-    """Both dtype branches against a `%` referee, with blocks that cut the
-    checkpoint slices; the arrays stand for sorted primes."""
+def test_top_counts_reduces_uint32_tables(monkeypatch, block):
+    """Against an int64 `%` referee, with blocks that cut the checkpoint
+    slices; the array stands for sorted primes, up to 4,294,967,291, the
+    largest prime below 2^32."""
     monkeypatch.setattr(progressions, "_RESIDUE_BLOCK", block)
-    below = np.array([3, 5, 7, 2**31 - 1, 2**32 - 5, 2**32 - 1], dtype=np.int64)
-    straddling = np.append(below, [2**32, 2**32 + 1, 2**40 - 87, 2**40 + 15]).astype(np.int64)
-    for primes in (below, straddling):
-        for ends in ([len(primes)], [0, 2, 2, len(primes) - 1, len(primes)]):
-            for top in (1, 2, 64, 97, 1000):
-                expected = np.cumsum([np.bincount(s % top, minlength=top)
-                                      for s in np.split(primes[:ends[-1]], ends[:-1])], axis=0)
-                assert np.array_equal(_top_counts(primes, ends, top), expected), (ends, top)
+    primes = np.array([2, 3, 5, 7, 65521, 2**31 - 1, 4_294_967_231, 4_294_967_279,
+                       4_294_967_291], dtype=np.uint32)
+    wide = primes.astype(np.int64)
+    for ends in ([len(primes)], [0, 2, 2, len(primes) - 1, len(primes)]):
+        for top in (1, 2, 64, 97, 1000):
+            expected = np.cumsum([np.bincount(s % top, minlength=top)
+                                  for s in np.split(wide[:ends[-1]], ends[:-1])], axis=0)
+            assert np.array_equal(_top_counts(primes, ends, top), expected), (ends, top)
+
+
+def test_table_searches_key_in_the_table_dtype(monkeypatch):
+    # a key of another dtype makes numpy cast the whole table to compare
+    # it: to int64 for a Python int, to float64 for a float checkpoint
+    real = np.searchsorted
+    keys = []
+
+    def recording(a, v, *args, **kwargs):
+        if np.shares_memory(a, sieve._base):
+            keys.append((a.dtype, np.asarray(v).dtype))
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recording)
+    primes_upto(3 * 10**5)  # grows the table unless it is already larger
+    error_table(10**4, 30)
+    bv_scans(12_345, 40, (8, 16))
+    list(tuples._series_blocks([(0, 2, 6), (0, 4, 6)], 3, 1000))
+    list(tuples._series_blocks([(0, 2)], 2, 10**5))
+    assert len(keys) >= 6
+    assert all(key == table == np.uint32 for table, key in keys), keys
+
+
+@pytest.mark.parametrize("x", [2**20, 12_345_677, 10**6])
+def test_bv_scan_ends_are_the_prime_counts_at_each_checkpoint(monkeypatch, x):
+    # x = 2^20 puts every eighth checkpoint on an integer; below x itself,
+    # 12,345,677 puts none there
+    ends_seen = []
+    real = progressions._scan
+
+    def recording(primes, ends, *args):
+        ends_seen.append(ends)
+        return real(primes, ends, *args)
+
+    monkeypatch.setattr(progressions, "_scan", recording)
+    bv_scan(x, 10, 64)
+    cps = bv_checkpoints(x, 64)
+    primes = primes_upto(x)
+    table = primes.tolist()
+    # Python compares an int with a float exactly, so bisect is the referee
+    assert ends_seen[0].tolist() == [bisect.bisect_right(table, y) for y in cps.tolist()]
+    assert ends_seen[0].tolist() == np.searchsorted(primes.astype(np.int64), cps,
+                                                    side="right").tolist()
 
 
 def test_bv_scans_equal_separate_scans():

@@ -189,8 +189,21 @@ def test_prime_indicator_consistency():
 def test_primes_between_fills_one_buffer_across_seams(lo, hi, size, monkeypatch):
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
     primes = primes_between(lo, hi)
-    assert primes.dtype == np.int64 and primes.flags.owndata
+    assert primes.dtype == np.uint32 and primes.flags.owndata
     assert primes.tolist() == trial_division_primes(lo, hi)
+
+
+@pytest.mark.parametrize("fill", [1, 8, 37])
+def test_primes_between_fills_each_window_block_by_block(fill, monkeypatch):
+    # windows of 1000 integers (500 odd flags) are cut into blocks of fill
+    # flags, the window that holds 2 included, and blocks of one flag are
+    # often empty
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1000)
+    monkeypatch.setattr(sieve, "_FILL_BLOCK", fill)
+    for lo, hi in ((0, 5000), (2, 4097), (1013, 3072), (0, 3), (3, 500)):
+        primes = primes_between(lo, hi)
+        assert primes.dtype == np.uint32 and primes.flags.owndata
+        assert primes.tolist() == trial_division_primes(lo, hi), (lo, hi)
 
 
 def test_prime_count_bound_holds():
@@ -204,6 +217,38 @@ def test_prime_count_bound_holds():
 def test_primes_between_empty():
     assert len(primes_between(24, 29)) == 0
     assert len(primes_between(0, 2)) == 0
+
+
+def test_prime_table_refuses_past_2_to_32_before_sieving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sieved past the uint32 prime table")
+
+    monkeypatch.setattr(sieve, "sieve_range", refuse)
+    for n in (2**32, 5 * 10**9):
+        with pytest.raises(PreconditionError, match="2\\^32"):
+            primes_upto(n)
+    with pytest.raises(PreconditionError, match="2\\^32"):
+        primes_between(0, 2**32 + 1)
+
+
+def test_prime_table_growth_stops_at_2_to_32(monkeypatch):
+    # the table would double past 2^32 from here; a real table to 2^32 is
+    # 812 MB, so primes_between only records what it is asked for
+    asked = []
+
+    def record(lo, hi):
+        asked.append((lo, hi))
+        return np.array([2, 3, 5], dtype=np.uint32)
+
+    monkeypatch.setattr(sieve, "primes_between", record)
+    monkeypatch.setattr(sieve, "_base", np.array([2, 3], dtype=np.uint32))
+    monkeypatch.setattr(sieve, "_base_limit", 2**31 + 10)
+    assert sieve._base_primes(2**31 + 11).tolist() == [2, 3, 5]
+    assert asked == [(0, 2**32)] and sieve._base_limit == 2**32
+    assert sieve._base_primes(2**32).tolist() == [2, 3, 5]
+    with pytest.raises(PreconditionError, match="2\\^32"):
+        sieve._base_primes(2**32 + 1)
+    assert asked == [(0, 2**32)]
 
 
 def test_pnt_ratio_report(capsys):
