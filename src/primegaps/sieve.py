@@ -242,8 +242,12 @@ def _prime_count_bound(lo: int, hi: int) -> int:
     return min((hi - lo + 1) // 2 + 1, int(1.25506 * hi / math.log(hi)) + 1)
 
 
-# primes_between turns this many odd flags of a window into primes at a
-# time, so its index temporary is a few hundred KB, never a window's worth
+# primes_between sieves the table _TABLE_WINDOW integers at a time: their
+# odd flags are one 1 MiB cache block of sieve_range, where a SEGMENT_SIZE
+# window would hold 8 MiB beside the table, and smaller windows would run
+# its per-window strike loops more often.  It turns _FILL_BLOCK odd flags
+# into primes at a time, so its index temporary is a few hundred KB
+_TABLE_WINDOW = 2 * _BLOCK
 _FILL_BLOCK = 1 << 18
 
 
@@ -251,10 +255,10 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi) as a uint32 array, for hi <= 2^32.
 
     The primes are written straight into one buffer sized by
-    _prime_count_bound, _FILL_BLOCK odd flags of a window at a time; its
-    pages past the last prime are never touched, and the buffer is shrunk
-    in place.  The peak is the primes and one window, with no copy of a
-    window's primes beside them."""
+    _prime_count_bound, _FILL_BLOCK odd flags of a _TABLE_WINDOW window
+    at a time; its pages past the last prime are never touched, and the
+    buffer is shrunk in place.  The peak is the primes and one 1 MiB
+    window, with no copy of a window's primes beside them."""
     require(hi <= _TABLE_LIMIT, f"primes_between stores uint32 primes, so hi {hi} "
             "may not pass 2^32")
     if hi <= max(lo, 2):
@@ -265,7 +269,8 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     if lo <= 2:  # 2 < hi here, and the windows do not store it
         out[0] = 2
         n = 1
-    for seg in iter_windows(lo, hi):
+    for a in range(lo, hi, _TABLE_WINDOW):
+        seg = sieve_range(a, min(a + _TABLE_WINDOW, hi))
         o = seg.lo | 1
         for b in range(0, len(seg.odd), _FILL_BLOCK):
             idx = np.flatnonzero(seg.odd[b : b + _FILL_BLOCK])

@@ -467,13 +467,23 @@ def test_streamed_peak_is_flat_in_x(argv, x):
 def test_ap_table_peak_grows_by_its_primes_alone():
     # ap-table reads the cached uint32 table primes_upto(x), which grows by
     # 4 bytes a prime from x to 2x (8.5 MB here); the table is filled in one
-    # buffer straight from each window and reduced mod q a block at a time,
-    # so no second table-sized array (an int64 copy, the residues, a
-    # window's primes) adds to that
+    # buffer one 2^21-integer window (1 MiB of odd flags) at a time and
+    # reduced mod q a block at a time, so no second table-sized array (an
+    # int64 copy, the residues, a window's primes) adds to that
     x = 40_000_000
     small, large = (peak_rss_kib("ap-table", "--q", "30", "--x", str(size)) for size in (x, 2 * x))
     added_kib = (4_669_382 - 2_433_654) * 4 / 1024  # pi(8e7) - pi(4e7) primes
     assert large - small < added_kib + 8 * 1024, (small, large, added_kib)
+
+
+def test_ap_table_peak_is_its_table_and_one_cache_block():
+    # over a run whose table is negligible, the peak at 4e7 adds its table
+    # (4 bytes a prime, 9.3 MiB) and one 1 MiB window of odd flags with its
+    # fill temporaries, under 4 MiB together; a 2^24-integer window (8 MiB
+    # of flags) beside the table brought the sum to about 17.5 MiB
+    base, peak = (peak_rss_kib("ap-table", "--q", "30", "--x", x) for x in ("1e5", "4e7"))
+    bound_kib = 4 * 2_433_654 / 1024 + 4 * 1024  # pi(4e7) primes, plus 4 MiB
+    assert peak - base < bound_kib, (base, peak, bound_kib)
 
 
 def test_intervals_peak_grows_by_its_sorted_starts_alone():

@@ -184,10 +184,39 @@ def test_prime_indicator_consistency():
     assert list(np.flatnonzero(ind) + 100) == trial_division_primes(100, 10_000)
 
 
-@pytest.mark.parametrize("size", [8, 1000, 1 << 10])
+@pytest.mark.parametrize("lo, hi", [(0, 3 * (1 << 21) + 7), (1, 2 * (1 << 21)), (10**6 + 1, 10**7)])
+def test_primes_between_tiles_its_range_with_cache_block_windows(lo, hi, monkeypatch):
+    # each window's odd flags are at most one of sieve_range's cache blocks
+    expected = sieve_range(lo, hi).primes()  # grows the table beforehand
+    spans = []
+
+    def recording(a, b, sieve_range=sieve.sieve_range):
+        spans.append((a, b))
+        seg = sieve_range(a, b)
+        assert len(seg.odd) <= sieve._BLOCK
+        return seg
+
+    monkeypatch.setattr(sieve, "sieve_range", recording)
+    primes = primes_between(lo, hi)
+    assert all(b - a <= 2 * sieve._BLOCK for a, b in spans), spans
+    assert [a for a, _ in spans] == [lo] + [b for _, b in spans[:-1]] and spans[-1][1] == hi
+    assert np.array_equal(primes, expected)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 5, 14])
+def test_primes_between_seams_next_to_2_and_the_wheel_primes(window, monkeypatch):
+    # windows of 1 to 14 integers from every start below 16 put a seam on
+    # each side of 2, 3, 5, 7, 11 and 13, where sieve_range sets the wheel
+    # primes back after the presieve and clears 1
+    monkeypatch.setattr(sieve, "_TABLE_WINDOW", window)
+    for lo in range(16):
+        assert primes_between(lo, lo + 60).tolist() == trial_division_primes(lo, lo + 60), lo
+
+
+@pytest.mark.parametrize("window", [8, 1000, 1 << 10])
 @pytest.mark.parametrize("lo, hi", [(0, 3), (0, 5000), (2, 4097), (1000, 1001), (1013, 3072)])
-def test_primes_between_fills_one_buffer_across_seams(lo, hi, size, monkeypatch):
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+def test_primes_between_fills_one_buffer_across_seams(lo, hi, window, monkeypatch):
+    monkeypatch.setattr(sieve, "_TABLE_WINDOW", window)
     primes = primes_between(lo, hi)
     assert primes.dtype == np.uint32 and primes.flags.owndata
     assert primes.tolist() == trial_division_primes(lo, hi)
@@ -198,7 +227,7 @@ def test_primes_between_fills_each_window_block_by_block(fill, monkeypatch):
     # windows of 1000 integers (500 odd flags) are cut into blocks of fill
     # flags, the window that holds 2 included, and blocks of one flag are
     # often empty
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1000)
+    monkeypatch.setattr(sieve, "_TABLE_WINDOW", 1000)
     monkeypatch.setattr(sieve, "_FILL_BLOCK", fill)
     for lo, hi in ((0, 5000), (2, 4097), (1013, 3072), (0, 3), (3, 500)):
         primes = primes_between(lo, hi)
