@@ -401,7 +401,6 @@ def _cmd_bv_scan(args):
             require_checkpoints(args.x, 2 * args.checkpoints)
         except PreconditionError as exc:
             raise PreconditionError(f"--sensitivity doubles the grid: {exc}") from None
-    if args.sensitivity:
         # the doubled grid's top half is the plain grid: one scan gives both
         res, res2 = bv_scans(args.x, args.q_max, (args.checkpoints, 2 * args.checkpoints),
                              args.threads)

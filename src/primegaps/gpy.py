@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import require
 from .polys import PolynomialSpec, weighted_square_integral
-from .sieve import factorize, iter_windows, prime_indicator, primes_upto
-from .tuples import OffsetTuple, nu, singular_series
+from .sieve import factorize, prime_indicator, primes_upto, sieve_range
+from .tuples import OffsetTuple, _nu_cached, singular_series
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +167,15 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndar
 def _odd_prime_flags(lo: int, n: int) -> Iterator[np.ndarray]:
     """Primality of the odd integers in each consecutive run of
     _PROFILE_BLOCK integers (the last may be shorter) of [lo, lo + n), in
-    order: the sieve windows' odd flags, cut every _PROFILE_BLOCK // 2 as
-    the block is even, and joined where a run crosses a window seam."""
-    half = _PROFILE_BLOCK // 2
-    windows = iter_windows(lo, lo + n)
-    odd = np.empty(0, dtype=bool)
-    for _ in range(0, n, _PROFILE_BLOCK):
-        run, odd = odd[:half], odd[half:]
-        while len(run) < half and (seg := next(windows, None)) is not None:
-            take = half - len(run)
-            run = np.concatenate((run, seg.odd[:take])) if len(run) else seg.odd[:take]
-            odd = seg.odd[take:]
-        yield run
+    order.  Each sieve_range window holds 16 runs, so its odd flags are
+    one 1 MiB cache block of the sieve and no run crosses a seam: a run
+    starts an even offset into its window, so its flags are a slice of the
+    window's."""
+    window = 16 * _PROFILE_BLOCK
+    for a in range(lo, lo + n, window):
+        odd = sieve_range(a, min(a + window, lo + n)).odd
+        for b in range(0, min(window, lo + n - a), _PROFILE_BLOCK):
+            yield odd[b // 2 : (b + _PROFILE_BLOCK) // 2]
 
 
 def require_level(R: int, x: int) -> None:
@@ -203,7 +200,7 @@ def _diagonal_form(lam: dict, H: OffsetTuple, s: int, total=math.fsum):
     R = max(lam)
     a, b, c = ([1] * (R + 1) for _ in range(3))  # h = a/b and g = c/a
     for p in primes_upto(R).tolist():
-        v = nu(H, p)
+        v = _nu_cached(H.offsets, p)
         for table, local in ((a, v - s), (b, p - s), (c, p - v)):
             table[p::p] = [m * local for m in table[p::p]]
     y = {
@@ -232,7 +229,8 @@ def quadratic_forms(
     Each form_value is evaluated as a sum of squares by Selberg's
     diagonalization (_diagonal_form).  Each direct sum reduces every
     profile block with np.add.reduce and adds the block sums with
-    math.fsum, so the numerator range is sieved once, block by block.
+    math.fsum, so the numerator range is sieved once, one 1 MiB window at
+    a time.
     """
     require(x >= 4, "x too small")
     require(1 <= j <= H.k, f"j must be in [1, {H.k}]")
@@ -305,8 +303,7 @@ def exact_double_count(
         h_j = H.offsets[j - 1]
         pmask = prime_indicator(x + h_j, 2 * x + h_j + 1)
 
-    # route 1: per-n divisor enumeration; squares cached per divisor subset
-    sq_cache: dict[int, Fraction] = {}
+    # route 1: per-n divisor enumeration, counted per divisor pattern
     pattern_counts: dict[int, int] = {}
     for n in range(x, 2 * x + 1):
         if pmask is not None and not pmask[n - x]:
@@ -321,12 +318,8 @@ def exact_double_count(
         pattern_counts[key] = pattern_counts.get(key, 0) + 1
     per_n = Fraction(0)
     for key, cnt in sorted(pattern_counts.items()):
-        if key not in sq_cache:
-            s = sum(
-                (lamF[d] for i, d in enumerate(ds) if key >> i & 1), Fraction(0)
-            )
-            sq_cache[key] = s * s
-        per_n += cnt * sq_cache[key]
+        s = sum((lamF[d] for i, d in enumerate(ds) if key >> i & 1), Fraction(0))
+        per_n += cnt * s * s
 
     # route 2: pair sum with exact progression counts
     pair = Fraction(0)

@@ -66,16 +66,9 @@ class OffsetTuple:
 
 @lru_cache(maxsize=1 << 16)
 def _nu_cached(offsets: tuple[int, ...], ell: int) -> int:
+    """nu_H(ell): the residue classes mod the prime ell that the offsets
+    occupy, k as soon as ell exceeds every offset."""
     return len({h % ell for h in offsets})
-
-
-def nu(H: OffsetTuple, ell: int) -> int:
-    """Number of distinct residue classes mod ell occupied by H.
-
-    Equals k as soon as ell exceeds every element of H.
-    """
-    require(ell >= 2 and is_prime(ell), f"modulus {ell} is not prime")
-    return _nu_cached(H.offsets, ell)
 
 
 def is_admissible(H: OffsetTuple) -> tuple[bool, int | None]:

