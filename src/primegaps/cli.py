@@ -142,8 +142,9 @@ def _guard(force: bool, condition: bool, message: str) -> None:
 
 
 def _guard_level(force: bool, k: int, L: int) -> None:
-    # the series kernel sorts a k x pi(max(span, k)) residue array per
-    # tuple, with span <= L, beside factor columns of pi(L) floats each
+    # the series kernel sorts k residues per tuple for each prime up to its
+    # span (<= L) and multiplies pi(L) factors per tuple; it reads 1 MiB
+    # sieve windows and 512 KiB factor chunks, so k*L bounds work, not memory
     _guard(force, k * L <= MAX_SIEVE_SPAN, f"k*L {k * L} beyond singular-series budget")
 
 

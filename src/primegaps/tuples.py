@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require
-from .sieve import is_prime, iter_windows, primes_upto
+from . import sieve
+from .sieve import is_prime, iter_windows, primes_upto, sieve_range
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,42 @@ def singular_series(H: OffsetTuple, L: int | None = None) -> SingularSeriesValue
     return SingularSeriesValue(float(values[0]), L, tail, False, None)
 
 
-# One block of the series kernel fills a factor matrix of about this many
-# float64 cells (16 MiB), whatever L is.
-_SERIES_CELLS = 1 << 21
+# The series kernel takes blocks of _SERIES_ROWS tuples and folds their
+# Euler factors in matrices of at most _SERIES_CELLS float64 cells (512
+# KiB), over the primes of one sieve window (1 MiB of odd flags) at a
+# time, so its peak is bounded whatever L, the tuple count and the spans.
+_SERIES_CELLS = 1 << 16
+_SERIES_ROWS = 1 << 10
+
+
+def _window_width() -> int:
+    """The table build's window of 2^21 integers (1 MiB of odd flags), or
+    SEGMENT_SIZE if that is smaller: a window is one sieve_range call."""
+    return min(sieve._TABLE_WINDOW, sieve.SEGMENT_SIZE)
+
+
+def _series_windows(k: int, L: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(primes, power, shared) for the primes ell <= L of each consecutive
+    sieve window: power is (1 - 1/ell)^(-k), and shared = (1 - k/ell) power
+    is the factor of a prime that sees all k residues."""
+    width = _window_width()
+    for a in range(0, L + 1, width):
+        primes = sieve_range(a, min(a + width, L + 1)).primes()
+        ell = primes.astype(np.float64)
+        power = (1.0 - 1.0 / ell) ** (-k)
+        yield primes, power, (1.0 - k / ell) * power
+
+
+def _nu(T: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """nu of each tuple row of T (columns) mod each of primes (rows)."""
+    res = np.sort(T % primes[:, None, None], axis=2)
+    return 1 + (np.diff(res, axis=2) != 0).sum(axis=2)
+
+
+def _fold(acc: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """acc times each column of factors, multiplied from the top."""
+    factors[0] *= acc
+    return factors.prod(axis=0)
 
 
 def _series_blocks(
@@ -142,43 +176,63 @@ def _series_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Truncated S over the primes ell <= L for a stream of k-offset tuples.
 
-    Yields (T, values) per block: T stacks the block's tuples as an (n, k)
-    int64 array and values[i] is the product for row i.  The caller
-    guarantees L >= max(h_k, 2k) for every tuple.  A prime beyond a tuple's
-    span sees all k residues, so only the primes up to max(span, k) get
-    residue work; every larger prime takes the shared factor
-    (1 - k/ell)(1 - 1/ell)^(-k).  A tuple covering all classes mod some
-    ell <= k gets 0.0 without a product.  Each tuple's factors fill one
-    column of a (pi(L), n) matrix in ascending ell, and prod(axis=0) folds
-    every column from the top, so each value is the same left-to-right
-    float product whatever block the tuple lands in.
+    Yields (T, values) per block of _SERIES_ROWS tuples: T stacks the
+    block's tuples as an (n, k) int64 array and values[i] is the product
+    for row i.  The caller guarantees L >= max(h_k, 2k) for every tuple.
+    A tuple covering all classes mod some ell <= k gets 0.0 without a
+    product.
     """
-    primes = primes_upto(L)
-    ell = primes.astype(np.float64)
-    power = (1.0 - 1.0 / ell) ** (-k)
-    shared = (1.0 - k / ell) * power
-    # keys of the table's dtype: a Python int would cast the table to int64
-    n_small_k = int(np.searchsorted(primes, primes.dtype.type(k), side="right"))
-    rows = max(1, _SERIES_CELLS // len(primes))
     stream = iter(offset_tuples)
-    while block := list(itertools.islice(stream, rows)):
+    small = primes_upto(k)
+    # an L of one window (the default level's is) is sieved once per call
+    windows = list(_series_windows(k, L)) if L < _window_width() else None
+    while block := list(itertools.islice(stream, _SERIES_ROWS)):
         T = np.array(block, dtype=np.int64)
         if k == 1:
             # every factor is (1 - 1/ell)(1 - 1/ell)^-1 = 1 exactly
             yield T, np.ones(len(T))
             continue
-        top = max(int((T[:, -1] - T[:, 0]).max()), k)
-        s = int(np.searchsorted(primes, primes.dtype.type(top), side="right"))
-        res = np.sort(T[None] % primes[:s, None, None], axis=2)
-        nu_arr = 1 + (np.diff(res, axis=2) != 0).sum(axis=2)
-        admissible = (nu_arr[:n_small_k] < primes[:n_small_k, None]).all(axis=0)
-        nu_arr = nu_arr[:, admissible]
-        factors = np.empty((len(primes), nu_arr.shape[1]))
-        factors[:s] = (1.0 - nu_arr / ell[:s, None]) * power[:s, None]
-        factors[s:] = shared[s:, None]
+        step = max(1, _SERIES_CELLS // (len(T) * k))  # k residues per tuple and prime
+        admissible = np.ones(len(T), dtype=bool)
+        for a in range(0, len(small), step):
+            admissible &= (_nu(T, small[a : a + step]) < small[a : a + step, None]).all(axis=0)
         values = np.zeros(len(T))
-        values[admissible] = factors.prod(axis=0)
+        if admissible.any():
+            values[admissible] = _products(T[admissible], k, windows or _series_windows(k, L))
         yield T, values
+
+
+def _products(U: np.ndarray, k: int, windows) -> np.ndarray:
+    """The Euler products of the admissible tuple rows of U over the
+    primes of windows, as _series_windows yields them.
+
+    A prime beyond a tuple's span sees all k residues, so only the primes
+    up to max(span, k) get residue work; every larger prime takes the
+    shared factor (1 - k/ell)(1 - 1/ell)^(-k).  The factors of each chunk
+    of consecutive primes fill an (m, n) matrix of at most _SERIES_CELLS
+    cells, acc carries every tuple's running product into its first row,
+    and prod(axis=0) folds each column from the top, so each value is the
+    same left-to-right float product in ascending ell whatever windows,
+    chunks and block the tuple meets.
+    """
+    n = len(U)
+    top = max(int((U[:, -1] - U[:, 0]).max()), k)
+    # the residues hold k cells for each factor cell
+    residue_step, shared_step = max(1, _SERIES_CELLS // (n * k)), max(1, _SERIES_CELLS // n)
+    acc = np.ones(n)
+    for primes, power, shared in windows:
+        s = int(np.searchsorted(primes, top, side="right"))
+        for a in range(0, s, residue_step):
+            b = min(a + residue_step, s)
+            nu = _nu(U, primes[a:b])
+            acc = _fold(acc, (1.0 - nu / primes[a:b, None]) * power[a:b, None])
+        for a in range(s, len(primes), shared_step):
+            b = min(a + shared_step, len(primes))
+            factors = np.empty((b - a, n))
+            factors[:] = shared[a:b, None]
+            acc = _fold(acc, factors)
+        del primes, power, shared  # freed before the next window is sieved
+    return acc
 
 
 class HLCount(NamedTuple):

@@ -508,6 +508,31 @@ def test_montgomery_peak_is_that_of_its_table(threads):
     assert abs(scan - table) < 8 * 1024, (table, scan)
 
 
+def test_tuple_peak_is_flat_in_L():
+    # the series kernel sieves its primes <= L one 2^21-integer window at a
+    # time, where the uint32 table primes_upto(L) alone grew by 13 MiB from
+    # 2e7 to 8e7 and its float factor columns by several times that
+    small, large = (peak_rss_kib("tuple", "--offsets", "0,2", "--L", L) for L in ("2e7", "8e7"))
+    assert abs(large - small) < 4 * 1024, (small, large)
+
+
+def test_gallagher_peak_is_near_that_of_one_tuple():
+    # 4851 translates of {0, a, b} in blocks of 1024 fold their factors in
+    # 512 KiB chunks; one 2^21-cell (16 MiB) factor matrix per block put
+    # about 9.7 MiB above a single tuple
+    one = peak_rss_kib("tuple", "--offsets", "0,2")
+    many = peak_rss_kib("gallagher", "--k", "3", "--h", "100")
+    assert many - one < 5 * 1024, (one, many)
+
+
+def test_wide_tuple_peak_is_bounded():
+    # a span of 2e7 gives every prime <= L = 2e7 residue work, a chunk of
+    # primes at a time; the whole residue array and factor matrix took the
+    # peak to about 123 MiB
+    peak = peak_rss_kib("tuple", "--offsets", "0,20000000")
+    assert peak < 50 * 1024, peak
+
+
 def test_overflow_exits_1(capsys):
     code = main(["longgap", "--kind", "factorial", "--m", "25"])
     assert code == 1

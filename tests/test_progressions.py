@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import pi_ap, prime_count, progressions, sieve, tuples
+from primegaps import pi_ap, prime_count, progressions, sieve
 from primegaps.errors import PreconditionError
 from primegaps.progressions import (
     bv_scan,
@@ -372,9 +372,7 @@ def test_table_searches_key_in_the_table_dtype(monkeypatch):
     primes_upto(3 * 10**5)  # grows the table unless it is already larger
     error_table(10**4, 30)
     bv_scans(12_345, 40, (8, 16))
-    list(tuples._series_blocks([(0, 2, 6), (0, 4, 6)], 3, 1000))
-    list(tuples._series_blocks([(0, 2)], 2, 10**5))
-    assert len(keys) >= 6
+    assert len(keys) >= 4
     assert all(key == table == np.uint32 for table, key in keys), keys
 
 

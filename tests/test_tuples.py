@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from primegaps.tuples import SingularSeriesValue, _nu_cached, hl_count, is_admis
 from primegaps.sieve import prime_indicator, primes_upto
 from primegaps.tuples import default_truncation
 
-from conftest import trial_division_is_prime
+from conftest import package_env, trial_division_is_prime
 
 
 def test_tuple_construction():
@@ -304,3 +306,90 @@ def test_gallagher_lhs_matches_per_translate_series(k, h, L):
         (h - t[-1]) * per_tuple_series(OffsetTuple(t), L).value for t in translates
     )
     assert gallagher_average(k, h, L).lhs == reference
+
+
+# Chunks of the series kernel's factor matrices, its tuple blocks and its
+# sieve windows, patched small so that seams fall between most primes: at
+# 7 cells every residue chunk of a block of 5 pairs or wider tuples is one
+# prime, and a window of 64 integers holds at most 18 primes.
+SERIES_SEAMS = [(7, 5, 64), (1, 1, 64), (3, 2, 200), (7, 5, 1 << 21), (1 << 16, 1 << 10, 64)]
+
+
+def patch_series_seams(monkeypatch, cells, rows, window):
+    monkeypatch.setattr(tuples, "_SERIES_CELLS", cells)
+    monkeypatch.setattr(tuples, "_SERIES_ROWS", rows)
+    monkeypatch.setattr(sieve, "_TABLE_WINDOW", window)
+
+
+def test_series_seams_fall_after_the_small_primes_at_the_span_and_between_windows(
+        monkeypatch):
+    # H = {0, 2, 6, 8}: k = 4, so one prime per residue chunk at 7 cells,
+    # and span 8; the fold's chunk boundaries, counted in primes from 2,
+    # include pi(k), pi(span) and the end of every 64-integer window
+    patch_series_seams(monkeypatch, 7, 5, 64)
+    fold, chunks = tuples._fold, []
+
+    def recording(acc, factors):
+        chunks.append(len(factors))
+        return fold(acc, factors)
+
+    monkeypatch.setattr(tuples, "_fold", recording)
+    L = 300
+    singular_series(OffsetTuple((0, 2, 6, 8)), L)
+    seams = set(itertools.accumulate(chunks))
+    wanted = {prime_count(4), prime_count(8)} | {prime_count(a - 1) for a in range(64, L, 64)}
+    assert wanted <= seams, (sorted(wanted - seams), chunks)
+    assert max(seams) == prime_count(L)
+
+
+SEAM_TUPLES = [
+    (0, 2), (0, 2, 6), (0, 1), (0, 4, 6, 10), (3, 5, 7, 9, 11, 13), (42,), (0, 2, 6, 8, 12),
+    (5, 7, 11), (0, 30), (0, 2, 4), (0, 120),
+]
+
+
+@pytest.mark.parametrize("cells, rows, window", SERIES_SEAMS)
+def test_singular_series_is_bit_exact_across_series_seams(cells, rows, window, monkeypatch):
+    patch_series_seams(monkeypatch, cells, rows, window)
+    for offsets in SEAM_TUPLES:
+        H = OffsetTuple(offsets)
+        least = max(H.offsets[-1], 2 * H.k)
+        for L in (least, least + 61, 1500):
+            assert singular_series(H, L) == per_tuple_series(H, L), (offsets, L)
+
+
+@pytest.mark.parametrize("cells, rows, window", SERIES_SEAMS)
+def test_series_blocks_are_bit_exact_for_a_mixed_block(cells, rows, window, monkeypatch):
+    # admissible and inadmissible triples (mod 2 or mod 3) side by side, in
+    # blocks of rows tuples, against one whole-array product each
+    patch_series_seams(monkeypatch, cells, rows, window)
+    triples = [(0, 2, 6), (0, 2, 4), (0, 4, 6), (0, 1, 3), (0, 6, 8), (0, 3, 6), (0, 12, 80),
+               (0, 2, 18), (0, 8, 10), (0, 4, 5)]
+    L = 700
+    values = np.concatenate([v for _, v in tuples._series_blocks(triples, 3, L)])
+    assert values.tolist() == [per_tuple_series(OffsetTuple(t), L).value for t in triples]
+    assert 0 < values.tolist().count(0.0) < len(triples)
+
+
+@pytest.mark.parametrize("cells, rows, window", SERIES_SEAMS)
+@pytest.mark.parametrize("k, h, L", [(1, 20, 300), (2, 30, 500), (3, 20, 700), (4, 16, 200)])
+def test_gallagher_is_bit_exact_across_series_seams(k, h, L, cells, rows, window, monkeypatch):
+    patch_series_seams(monkeypatch, cells, rows, window)
+    translates = ((0, *rest) for rest in itertools.combinations(range(1, h), k - 1))
+    reference = math.fsum(
+        (h - t[-1]) * per_tuple_series(OffsetTuple(t), L).value for t in translates
+    )
+    assert gallagher_average(k, h, L).lhs == reference
+
+
+def test_singular_series_sieves_its_level_without_the_prime_table():
+    # the series reads its primes from sieve windows, so the table grows
+    # only to the sieve's base primes, up to sqrt(L), and the primes <= k
+    code = ("from primegaps import sieve\n"
+            "from primegaps.tuples import OffsetTuple, singular_series\n"
+            "singular_series(OffsetTuple((0, 2, 6)), 10**7)\n"
+            "print(sieve._base_limit)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10**4
