@@ -73,8 +73,12 @@ class GapHistogram:
 
 
 # _histogram_of_runs takes the gaps of this many primes at a time, so its
-# float64 temporaries are 1 MiB each, whatever the length of a run.
-_GAP_BLOCK = 1 << 17
+# float64 temporaries are 256 KiB each, whatever the length of a run.
+# Blocks of 2^17 (1 MiB temporaries, the size of a sieve window's flags
+# and primes) made gap_histogram(3, 1e8) take 0.28-0.37 s against
+# 0.20-0.22 s, as the allocator handed the freed megabytes back to the
+# system and faulted them in again.
+_GAP_BLOCK = 1 << 15
 
 
 def _histogram_of_runs(runs: Iterable[np.ndarray], edges: np.ndarray) -> GapHistogram:
@@ -269,7 +273,9 @@ class CramerConfig:
         require(self.seed >= 0, "seed must be nonnegative")
 
 
-_CRAMER_CHUNK = 1 << 20
+# A chunk of the Cramer stream holds _CRAMER_CHUNK probabilities, 1 MiB of
+# float64, and its draws beside them.
+_CRAMER_CHUNK = 1 << 17
 
 
 def _cramer_chunks(cfg: CramerConfig) -> Iterator[tuple[int, np.ndarray, float, float]]:
@@ -283,8 +289,7 @@ def _cramer_chunks(cfg: CramerConfig) -> Iterator[tuple[int, np.ndarray, float, 
     rng = make_rng(cfg.seed)
     for lo in range(3, cfg.n_max + 1, _CRAMER_CHUNK):
         p = np.arange(lo, min(lo + _CRAMER_CHUNK, cfg.n_max + 1), dtype=np.float64)
-        # in place: 1.0 / np.log(...) in one expression peaks about 8 MB
-        # higher on cramer --n-max 5e7 (62.3 against 54.3 MB)
+        # in place, so the chunk holds one float64 array, not two
         np.log(p, out=p)
         np.reciprocal(p, out=p)
         hits = rng.random(len(p)) < p

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import require
 from .polys import PolynomialSpec, weighted_square_integral
-from .sieve import factorize, prime_indicator, primes_upto, sieve_range
+from .sieve import factorize, iter_windows, prime_indicator, primes_upto
 from .tuples import OffsetTuple, _nu_cached, singular_series
 
 
@@ -167,15 +167,12 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndar
 def _odd_prime_flags(lo: int, n: int) -> Iterator[np.ndarray]:
     """Primality of the odd integers in each consecutive run of
     _PROFILE_BLOCK integers (the last may be shorter) of [lo, lo + n), in
-    order.  Each sieve_range window holds 16 runs, so its odd flags are
-    one 1 MiB cache block of the sieve and no run crosses a seam: a run
-    starts an even offset into its window, so its flags are a slice of the
-    window's."""
-    window = 16 * _PROFILE_BLOCK
-    for a in range(lo, lo + n, window):
-        odd = sieve_range(a, min(a + window, lo + n)).odd
-        for b in range(0, min(window, lo + n - a), _PROFILE_BLOCK):
-            yield odd[b // 2 : (b + _PROFILE_BLOCK) // 2]
+    order.  A sieve window holds a whole number of runs (16 of them), so
+    no run crosses a seam: a run starts an even offset into its window, so
+    its flags are a slice of the window's."""
+    for seg in iter_windows(lo, lo + n):
+        for b in range(0, seg.hi - seg.lo, _PROFILE_BLOCK):
+            yield seg.odd[b // 2 : (b + _PROFILE_BLOCK) // 2]
 
 
 def require_level(R: int, x: int) -> None:

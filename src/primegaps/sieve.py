@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import require
 
-# A single sieve_range call spans at most SEGMENT_SIZE; iter_windows
-# streams longer ranges in windows of that size, large enough that the
-# per-segment base-prime setup cost stays negligible.
-SEGMENT_SIZE = 1 << 24
+# Every sieve window spans SEGMENT_SIZE integers, whose odd flags are one
+# 1 MiB block, within a typical L2 cache.  A single sieve_range call spans
+# at most SEGMENT_SIZE; iter_windows streams longer ranges one window at a
+# time, carrying each base prime's next strike from window to window, so
+# no window pays the base primes' setup again.
+SEGMENT_SIZE = 1 << 21
 
 _U64_MAX = (1 << 64) - 1
 
@@ -126,12 +128,12 @@ def _wheel_pattern() -> np.ndarray:
 
 _PATTERN = _wheel_pattern()
 
-# A prime below _SMALL strikes block by block, at least 64 times per block
-# of _BLOCK odd flags (1 MiB, within a typical L2 cache), so its strided
-# writes stay in cache; measured at 1e8 this sieves about twice as fast as
-# one pass over a whole 8 MiB segment.
-_BLOCK = 1 << 20
+# A prime below _SMALL strikes at least 64 times in a window, in one strided
+# slice; every larger one is struck from an index array of its strikes.
+# The first strikes are set _STRIKE_CHUNK base primes at a time, so their
+# int64 temporaries stay at a few MB whatever the count of base primes.
 _SMALL = 1 << 14
+_STRIKE_CHUNK = 1 << 16
 
 
 def _presieved(phase: int, n: int) -> np.ndarray:
@@ -140,56 +142,71 @@ def _presieved(phase: int, n: int) -> np.ndarray:
 
 
 def _first_strikes(lo: int, ps: np.ndarray) -> np.ndarray:
-    """Odd index, counted from lo | 1, of the first odd multiple of each
-    p in ps that is >= max(p^2, lo)."""
-    # the first odd multiple at or past lo is lo + off with off < 2p, so
-    # every term stays below 2p and nothing overflows near 2^63; its odd
-    # index is off // 2 whatever the parity of lo
-    off = (-lo) % ps
-    even = off % 2 == lo % 2
-    off[even] += ps[even]
-    start = off // 2
-    late = ps * ps >= lo
-    start[late] = (ps[late] * ps[late] - (lo | 1)) // 2
-    return start
+    """The first odd multiple m >= max(p^2, lo) of each p in ps, as its
+    odd index (m - 1) // 2 in int64."""
+    base = (lo | 1) // 2
+    out = np.empty(len(ps), dtype=np.int64)
+    for a in range(0, len(ps), _STRIKE_CHUNK):
+        p = ps[a : a + _STRIKE_CHUNK].astype(np.int64)
+        # the odd multiples of p are the numbers = p mod 2p, so the first
+        # one at or past lo is lo + off with off < 2p: no term passes 2^63,
+        # and its odd index is base + off // 2 whatever the parity of lo
+        off = (p - lo) % (2 * p)
+        off //= 2
+        off += base
+        np.maximum(off, p * p // 2, out=out[a : a + len(p)])
+    return out
 
 
-def sieve_range(lo: int, hi: int) -> SieveSegment:
+def _advance(strikes: np.ndarray, ps: np.ndarray, to: int) -> None:
+    """Move each strike of ps below the odd index of to | 1 to the first
+    one at or past it, p apart; the others stay."""
+    base = (to | 1) // 2
+    passed = np.flatnonzero(strikes < base)
+    strikes[passed] = (strikes[passed] - base) % ps[passed] + base
+
+
+def sieve_range(lo: int, hi: int, strikes: np.ndarray | None = None) -> SieveSegment:
     """Sieve the half-open range [lo, hi) into its odd primality flags.
 
     The flags start as the presieved wheel pattern; only the primes from
     17 up to sqrt(hi) strike, each from its first odd multiple >= max(p^2,
-    lo) in steps of 2p.  Refuses a span hi - lo beyond SEGMENT_SIZE with
-    a PreconditionError; iterate iter_windows for longer ranges.
+    lo) in steps of 2p.  strikes holds those first multiples as odd indices,
+    as _first_strikes gives them, for the base primes from 17 on as far as
+    sqrt(hi) at least; iter_windows carries them from window to window,
+    and without them they are found here.  Refuses a span hi - lo beyond
+    SEGMENT_SIZE with a PreconditionError; iterate iter_windows for longer
+    ranges.
     """
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
     require(hi <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
     require(hi - lo <= SEGMENT_SIZE, f"span {hi - lo} exceeds the {SEGMENT_SIZE} "
             "single-call budget; iterate segments instead")
     o = lo | 1
-    odd = _presieved(((o - 1) // 2) % _PERIOD, (hi - o + 1) // 2)
+    odd = _presieved((o // 2) % _PERIOD, (hi - o + 1) // 2)
     for p in _WHEEL:
         if o <= p < hi:
             odd[(p - o) // 2] = True
     if o == 1:
         odd[:1] = False
     ps = _base_primes(math.isqrt(hi - 1) + 1)[len(_WHEEL) + 1 :]
-    n = len(odd)
-    # primes with many strikes per block strike block by block, so the
-    # strided writes stay in cache; the rest walk the whole segment, and
-    # those with at most one strike in it are struck in one fancy index.
-    # _first_strikes computes (-lo) % p and p * p, so each group is cast
-    # from the table's uint32 to int64
-    cuts = np.searchsorted(ps, np.array([min(_SMALL, n), n], dtype=ps.dtype))
-    small, mid, big = (g.astype(np.int64) for g in np.split(ps, cuts))
-    for b in range(0, n, _BLOCK):
-        view = odd[b : b + _BLOCK]
-        for j, p in zip(_first_strikes(o + 2 * b, small).tolist(), small.tolist()):
-            view[j::p] = False
-    for j, p in zip(_first_strikes(lo, mid).tolist(), mid.tolist()):
+    strikes = _first_strikes(lo, ps) if strikes is None else strikes[: len(ps)]
+    n, base = len(odd), o // 2
+    # a key of the table's dtype, so that numpy does not cast ps to int64
+    small = int(np.searchsorted(ps, np.uint32(min(_SMALL, n))))
+    for j, p in zip((strikes[:small] - base).tolist(), ps[:small].tolist()):
         odd[j::p] = False
-    j = _first_strikes(lo, big)
-    odd[j[j < n]] = False
+    # the others strike in rounds: each round strikes the next multiple of
+    # every prime that still has one in the window, so a round holds at
+    # most one index per prime, and the first takes in every prime past
+    # the window's length with its one strike or none
+    live = np.flatnonzero(strikes[small:] < base + n) + small
+    j, p = strikes[live] - base, ps[live].astype(np.int64)
+    while len(j):
+        odd[j] = False
+        j += p
+        keep = j < n
+        j, p = j[keep], p[keep]
     return SieveSegment(lo, hi, odd)
 
 
@@ -218,21 +235,28 @@ def iter_windows(lo: int, hi: int, overlap: int = 0) -> Iterator[SieveSegment]:
     holds one window at a time, never the whole range.  A window is one
     sieve_range call, or segments joined in one buffer for an overlap past
     SEGMENT_SIZE / 2.  No span is shorter than the overlap, so the overlaps
-    sieved again add less than the range plus one overlap."""
+    sieved again add less than the range plus one overlap.  Each base
+    prime's first strike is found once for the whole stream and carried
+    from window to window."""
     require(0 <= lo < hi and overlap >= 0, f"need 0 <= lo < hi, overlap >= 0, got "
             f"[{lo}, {hi}), {overlap}")
+    require(hi + overlap <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
     step = max(SEGMENT_SIZE - overlap, overlap)
+    ps = _base_primes(math.isqrt(hi + overlap - 1) + 1)[len(_WHEEL) + 1 :]
+    strikes = _first_strikes(lo, ps)
     for start in range(lo, hi, step):
         stop = min(start + step, hi) + overlap
         if stop - start <= SEGMENT_SIZE:
-            yield sieve_range(start, stop)
-            continue
-        o = start | 1
-        odd = np.empty(((stop | 1) - o) // 2, dtype=bool)
-        for a in range(start, stop, SEGMENT_SIZE):
-            b = min(a + SEGMENT_SIZE, stop)
-            odd[((a | 1) - o) // 2 : ((b | 1) - o) // 2] = sieve_range(a, b).odd
-        yield SieveSegment(start, stop, odd)
+            yield sieve_range(start, stop, strikes)
+        else:
+            o, at = start | 1, strikes.copy()
+            odd = np.empty(((stop | 1) - o) // 2, dtype=bool)
+            for a in range(start, stop, SEGMENT_SIZE):
+                b = min(a + SEGMENT_SIZE, stop)
+                odd[((a | 1) - o) // 2 : ((b | 1) - o) // 2] = sieve_range(a, b, at).odd
+                _advance(at, ps, b)
+            yield SieveSegment(start, stop, odd)
+        _advance(strikes, ps, start + step)
 
 
 def _prime_count_bound(lo: int, hi: int) -> int:
@@ -242,12 +266,8 @@ def _prime_count_bound(lo: int, hi: int) -> int:
     return min((hi - lo + 1) // 2 + 1, int(1.25506 * hi / math.log(hi)) + 1)
 
 
-# primes_between sieves the table _TABLE_WINDOW integers at a time: their
-# odd flags are one 1 MiB cache block of sieve_range, where a SEGMENT_SIZE
-# window would hold 8 MiB beside the table, and smaller windows would run
-# its per-window strike loops more often.  It turns _FILL_BLOCK odd flags
-# into primes at a time, so its index temporary is a few hundred KB
-_TABLE_WINDOW = 2 * _BLOCK
+# primes_between turns _FILL_BLOCK odd flags of a window into primes at a
+# time, so its index temporary is a few hundred KB
 _FILL_BLOCK = 1 << 18
 
 
@@ -255,7 +275,7 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi) as a uint32 array, for hi <= 2^32.
 
     The primes are written straight into one buffer sized by
-    _prime_count_bound, _FILL_BLOCK odd flags of a _TABLE_WINDOW window
+    _prime_count_bound, _FILL_BLOCK odd flags of an iter_windows window
     at a time; its pages past the last prime are never touched, and the
     buffer is shrunk in place.  The peak is the primes and one 1 MiB
     window, with no copy of a window's primes beside them."""
@@ -269,8 +289,7 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     if lo <= 2:  # 2 < hi here, and the windows do not store it
         out[0] = 2
         n = 1
-    for a in range(lo, hi, _TABLE_WINDOW):
-        seg = sieve_range(a, min(a + _TABLE_WINDOW, hi))
+    for seg in iter_windows(lo, hi):
         o = seg.lo | 1
         for b in range(0, len(seg.odd), _FILL_BLOCK):
             idx = np.flatnonzero(seg.odd[b : b + _FILL_BLOCK])

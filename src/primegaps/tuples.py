@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import require
 from . import sieve
-from .sieve import is_prime, iter_windows, primes_upto, sieve_range
+from .sieve import is_prime, iter_windows, primes_upto
 
 
 @dataclass(frozen=True)
@@ -141,19 +141,12 @@ _SERIES_CELLS = 1 << 16
 _SERIES_ROWS = 1 << 10
 
 
-def _window_width() -> int:
-    """The table build's window of 2^21 integers (1 MiB of odd flags), or
-    SEGMENT_SIZE if that is smaller: a window is one sieve_range call."""
-    return min(sieve._TABLE_WINDOW, sieve.SEGMENT_SIZE)
-
-
 def _series_windows(k: int, L: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(primes, power, shared) for the primes ell <= L of each consecutive
     sieve window: power is (1 - 1/ell)^(-k), and shared = (1 - k/ell) power
     is the factor of a prime that sees all k residues."""
-    width = _window_width()
-    for a in range(0, L + 1, width):
-        primes = sieve_range(a, min(a + width, L + 1)).primes()
+    for seg in iter_windows(0, L + 1):
+        primes = seg.primes()
         ell = primes.astype(np.float64)
         power = (1.0 - 1.0 / ell) ** (-k)
         yield primes, power, (1.0 - k / ell) * power
@@ -185,7 +178,7 @@ def _series_blocks(
     stream = iter(offset_tuples)
     small = primes_upto(k)
     # an L of one window (the default level's is) is sieved once per call
-    windows = list(_series_windows(k, L)) if L < _window_width() else None
+    windows = list(_series_windows(k, L)) if L < sieve.SEGMENT_SIZE else None
     while block := list(itertools.islice(stream, _SERIES_ROWS)):
         T = np.array(block, dtype=np.int64)
         if k == 1:

@@ -77,14 +77,19 @@ def trial_division_primes(lo: int, hi: int) -> list[int]:
     return [n for n in range(lo, hi) if trial_division_is_prime(n)]
 
 
-def naive_sieve_count(limit: int) -> int:
-    """Unsegmented pure-Python sieve; counts primes <= limit."""
+def naive_sieve_flags(limit: int) -> bytearray:
+    """Unsegmented pure-Python sieve: flags[n] is 1 iff n <= limit is prime."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return sum(flags)
+    return flags
+
+
+def naive_sieve_count(limit: int) -> int:
+    """Counts primes <= limit with the unsegmented sieve."""
+    return sum(naive_sieve_flags(limit))
 
 
 def naive_factorize(n: int) -> list[tuple[int, int]]:
@@ -122,6 +127,28 @@ def simpson_log_integral(x: float, n_panels: int) -> float:
     for i in range(1, 2 * n_panels):
         total += (4.0 if i % 2 else 2.0) * f(lo + i * h)
     return total * h / 3.0
+
+
+# ---------------------------------------------------------------------------
+# the sieve window, patched
+
+@pytest.fixture
+def sieve_window(monkeypatch):
+    """Set the sieve's window to a given size for one test, from an empty
+    prime table: the table is then built in windows of that size too,
+    whatever ran before, so a test gives the same result alone as in the
+    full suite."""
+    import numpy as np
+    from primegaps import sieve
+
+    def patch(size: int) -> None:
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+        monkeypatch.setattr(sieve, "_base", np.empty(0, dtype=np.uint32))
+        monkeypatch.setattr(sieve, "_base_limit", 0)
+        sieve._clear_views()
+
+    yield patch
+    sieve._clear_views()  # no cached view of the patched table outlives the test
 
 
 # ---------------------------------------------------------------------------

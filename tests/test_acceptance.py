@@ -33,6 +33,7 @@ from primegaps import (
     unfortunate_inequality,
 )
 from primegaps.gaps import interval_counts_from_indicator, poisson_unit_pmf
+from primegaps.sieve import prime_indicator
 from primegaps.gpy import _diagonal_form, quadratic_forms
 from primegaps.cli import main as cli_main
 
@@ -103,7 +104,7 @@ def test_criterion_5_sieve_correctness():
         seg = sieve_range(0, 10**5)
         assert list(seg.primes()) == trial_division_primes(0, 10**5)
         assert prime_count(10**6) == naive_sieve_count(10**6)
-        mono = sieve_range(0, 10**7).bits
+        mono = prime_indicator(0, 10**7)
         pieces = [
             sieve_range(lo, min(lo + 2**20, 10**7)).bits
             for lo in range(0, 10**7, 2**20)

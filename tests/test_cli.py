@@ -449,7 +449,7 @@ def test_hl_count_checks_L_before_sieving(monkeypatch, capsys):
     assert "L-too-small" in capsys.readouterr().err
 
 
-# Sizes past one sieve window (2^24) on both sides, where a whole array of
+# Sizes of many sieve windows (2^21) on both sides, where a whole array of
 # the old code grew by more than 20 MB from x to 2x: the indicator of
 # hl-count (x bytes) and intervals (2x bytes), cramer's n_max + 1 bools and
 # their positions, and the int64 primes below x that gaps held.
@@ -462,6 +462,33 @@ def test_hl_count_checks_L_before_sieving(monkeypatch, capsys):
 def test_streamed_peak_is_flat_in_x(argv, x):
     small, large = (peak_rss_kib(*argv, str(size)) for size in (x, 2 * x))
     assert abs(large - small) < 8 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("argv, x", [
+    (["gaps", "--x-hi"], "4e7"),
+    (["hl-count", "--offsets", "0,2", "--x"], "4e7"),
+    (["intervals", "--n-samples", "1000", "--x"], "2e7"),
+], ids=["gaps", "hl-count", "intervals"])
+def test_streamed_peak_is_one_window_over_that_at_1e5(argv, x):
+    # one 2^21-integer window (1 MiB of odd flags) and its temporaries fit
+    # in 4 MiB over the same command at 1e5, whose base primes and window
+    # are negligible; 2^24-integer windows (8 MiB of flags) put these
+    # peaks 10 to 16 MB higher
+    base, peak = (peak_rss_kib(*argv, size) for size in ("1e5", x))
+    assert peak - base < 4 * 1024, (base, peak)
+
+
+def test_gaps_peak_far_out_is_its_base_primes_and_one_window():
+    # at 1e15 the stream holds the 1.95 million base primes below
+    # sqrt(x_hi), 4 bytes each in the table and 8 in the carried strikes,
+    # beside one window and its strike temporaries (measured 31.5 MB over
+    # gaps at 1e5); first strikes recomputed for every window of the whole
+    # base put the peak 72 MB over it
+    base_primes = 1_951_957  # pi(sqrt(1e15 + 1e6))
+    base = peak_rss_kib("gaps", "--x-hi", "1e5")
+    peak = peak_rss_kib("gaps", "--x-lo", "1e15", "--x-hi", "1000000001000000", "--force")
+    bound_kib = 12 * base_primes / 1024 + 16 * 1024
+    assert peak - base < bound_kib, (base, peak, bound_kib)
 
 
 def test_ap_table_peak_grows_by_its_primes_alone():

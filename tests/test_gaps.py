@@ -88,12 +88,12 @@ def test_histogram_blocks_match_one_pass(block, monkeypatch):
 
 @pytest.mark.parametrize("size", [8, 1000, 1 << 10])
 @pytest.mark.parametrize("x_lo, x_hi", [(3, 50_000), (1000, 20_011), (3, 4), (113, 120)])
-def test_gap_histogram_carries_across_segment_seams(x_lo, x_hi, size, monkeypatch):
+def test_gap_histogram_carries_across_segment_seams(x_lo, x_hi, size, sieve_window):
     # segments of 8 integers are often empty, and [113, 120) holds the one
     # prime 113, whose gap reaches 127 in a later segment
     seq = primes_between(x_lo, next_prime(x_hi - 1) + 1)
     expected = one_pass_histogram(seq, default_bin_edges())
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    sieve_window(size)
     assert histogram_tuple(gap_histogram(x_lo, x_hi)) == expected
 
 
@@ -292,7 +292,7 @@ def test_interval_stats_equal_prefix_count_referee_at_cli_sizes(x, n_samples, se
 
 
 @pytest.mark.parametrize("size", [7, 1000, 1 << 10])
-def test_interval_stats_stream_across_window_seams(size, monkeypatch):
+def test_interval_stats_stream_across_window_seams(size, sieve_window):
     # [5000, 10000] holds e^9, so b_9 falls inside a window; 60000 draws
     # land on every start, so on both sides of every seam; windows of 7
     # starts are shorter than their overlap of floor(log 10000) = 9
@@ -300,7 +300,7 @@ def test_interval_stats_stream_across_window_seams(size, monkeypatch):
     assert len(np.unique(make_rng(seed).integers(x, 2 * x + 1, size=n_samples))) == x + 1
     ind = prime_indicator(0, 2 * x + int(math.log(2 * x)) + 2)
     expected = prefix_count_referee(ind, x, n_samples, seed)
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    sieve_window(size)
     stats = interval_count_distribution(x, n_samples, seed)
     got = stats.fractions, stats.empirical_mean, stats.empirical_std, stats.exact_mean
     assert got == expected
@@ -365,6 +365,22 @@ def test_cramer_expected_count_formula():
     assert res.expected_count == pytest.approx(expected, rel=1e-12)
     var = sum((1 / math.log(n)) * (1 - 1 / math.log(n)) for n in range(3, 1001))
     assert res.count_sigma == pytest.approx(math.sqrt(var), rel=1e-12)
+
+
+def test_cramer_sums_match_fsum_across_chunks():
+    # expected_count and count_sigma add the chunks' numpy sums with
+    # math.fsum; against math.fsum of every term, over five whole chunks
+    # and a short one, they agree within the roundings of np.log and of
+    # numpy's pairwise sum of a chunk (under 40 unit roundoffs), and in
+    # the 12 significant digits the CLI prints
+    n_max = 5 * gaps._CRAMER_CHUNK + 3
+    res = cramer_simulate(CramerConfig(n_max=n_max, seed=0))
+    p = [1 / math.log(n) for n in range(3, n_max + 1)]
+    mean = 1 + math.fsum(p)
+    sigma = math.sqrt(math.fsum(q * (1 - q) for q in p))
+    for got, exact in ((res.expected_count, mean), (res.count_sigma, sigma)):
+        assert abs(got - exact) <= 40 * 2.0**-53 * exact, (got, exact)
+        assert f"{got:.12g}" == f"{exact:.12g}"
 
 
 def test_cramer_count_within_4_sigma():

@@ -16,7 +16,7 @@ from primegaps import (
     mobius_log_identity,
     unfortunate_inequality,
 )
-from primegaps import cli, gpy
+from primegaps import cli, gpy, sieve
 from primegaps.errors import PreconditionError
 from primegaps.gpy import (
     _PROFILE_BLOCK,
@@ -26,7 +26,7 @@ from primegaps.gpy import (
     quadratic_forms,
 )
 from primegaps.polys import best_power_r, weighted_square_integral
-from primegaps.sieve import prime_indicator, sieve_range
+from primegaps.sieve import iter_windows, prime_indicator
 
 from conftest import naive_factorize, peak_rss_kib
 
@@ -260,8 +260,9 @@ def test_gpy_experiment_builds_one_profile(monkeypatch, offsets):
 
 def test_gpy_experiment_peak_is_flat_in_x():
     # a whole-array profile would add 8 bytes per unit of x: 48 MB at 8e6;
-    # 4e7 is past one 2^24-integer sieve window, whose 8 MiB of odd flags
-    # (and seam joins) raised the peak about 15 MB over that of 2e6
+    # 4e7 spans 20 sieve windows of 2^21 integers, where one 8 MiB window of
+    # odd flags (and seam joins) once raised the peak about 15 MB over that
+    # of 2e6
     small, large = (peak_rss_kib("gpy-experiment", "--offsets", "0,2", "--x", x)
                     for x in ("2e6", "4e7"))
     assert abs(large - small) < 8 * 1024, (small, large)
@@ -286,13 +287,15 @@ def assert_close_sum(got, terms):
 @pytest.mark.parametrize("offsets, r", [((0, 2), 0), ((0, 4, 6), 1)])
 @pytest.mark.parametrize("x", [B - 1, 3 * B + 4, 2_300_001])
 def test_streamed_forms_equal_whole_array_sums(offsets, r, x, monkeypatch):
-    # x + h_j both odd and even; with the patched block, each sieve window
-    # holds B integers, and 2_300_001 spans 18 of them, the last one short
+    # x + h_j both odd and even; with the patched sizes, each sieve window
+    # holds B integers, 16 profile blocks, and 2_300_001 spans 18 of them,
+    # the last one short
     H = OffsetTuple(offsets)
     w = build_weights(PolynomialSpec.power(H.k, r), math.isqrt(math.isqrt(x)))
     sq = unblocked_profile(w, H, x) ** 2
     primes = [prime_indicator(x + h, 2 * x + h + 1) for h in H.offsets]
     monkeypatch.setattr(gpy, "_PROFILE_BLOCK", B // 16)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", B)
     for j in range(1, H.k + 1):
         den, num = quadratic_forms(w, H, x, j)
         for got, terms in ((den.direct_sum, sq), (num.direct_sum, sq[primes[j - 1]])):
@@ -305,16 +308,17 @@ def test_quadratic_forms_sieve_the_numerator_range_once(offsets, x, monkeypatch)
     # the larger x spans nine windows of the patched size, 2B each
     spans = []
 
-    def recording(lo, hi):
-        spans.append((lo, hi))
-        return sieve_range(lo, hi)
+    def recording(lo, hi, overlap=0):
+        for seg in iter_windows(lo, hi, overlap):
+            spans.append((seg.lo, seg.hi))
+            yield seg
 
     H = OffsetTuple(offsets)
     w = build_weights(PolynomialSpec.power(H.k, 0), 8)
     j = H.k
-    quadratic_forms(w, H, x, j)  # grows the base primes, which are sieved too
     monkeypatch.setattr(gpy, "_PROFILE_BLOCK", B // 8)
-    monkeypatch.setattr(gpy, "sieve_range", recording)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 2 * B)
+    monkeypatch.setattr(gpy, "iter_windows", recording)
     quadratic_forms(w, H, x, j)
     if H.k == 1:
         assert spans == []

@@ -22,7 +22,9 @@ from primegaps.sieve import (
 )
 from primegaps.sieve import SEGMENT_SIZE
 
-from conftest import naive_factorize, naive_sieve_count, trial_division_primes
+from conftest import (
+    naive_factorize, naive_sieve_count, naive_sieve_flags, trial_division_primes,
+)
 
 
 def test_sieve_range_examples():
@@ -160,10 +162,10 @@ def test_sieve_far_from_zero_matches_is_prime(lo, span):
 @pytest.mark.parametrize("lo, hi, overlap", [
     (0, 5000, 0), (1, 5000, 2), (2, 4097, 9), (3, 2048, 40), (1000, 1001, 1500),
 ])
-def test_windows_are_spans_extended_by_the_overlap(lo, hi, overlap, size, monkeypatch):
+def test_windows_are_spans_extended_by_the_overlap(lo, hi, overlap, size, sieve_window):
     # a window is one segment, or two overlaps joined where that is longer
     whole = prime_indicator(0, hi + overlap)
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    sieve_window(size)
     step = max(size - overlap, overlap)
     windows = list(iter_windows(lo, hi, overlap))
     assert [w.lo for w in windows] == list(range(lo, hi, step))
@@ -171,6 +173,47 @@ def test_windows_are_spans_extended_by_the_overlap(lo, hi, overlap, size, monkey
         end = min(w.lo + step, hi)
         assert w.hi == end + overlap
         assert np.array_equal(w.bits, whole[w.lo : end + overlap]), (w.lo, end)
+
+
+def _prime_below(n: int) -> int:
+    n -= 1
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+# the primes next to each cut of the strike kernel: 2^14, below which a
+# prime strikes in strided slices, and 2^20, a window's count of odd flags,
+# past which a prime strikes a window once or not at all
+CUT_PRIMES = (_prime_below(2**14), next_prime(2**14), _prime_below(2**20), next_prime(2**20))
+
+
+@pytest.mark.parametrize("x", [10**12, 10**15, 10**16])
+def test_windows_far_out_match_is_prime_at_seams_and_cuts(x):
+    # each planted m = p q, with q the least prime past x / p > p, is
+    # struck by p alone, once in its window; windows overlapping by 1 put
+    # m last in one window and first in the next
+    size = sieve.SEGMENT_SIZE
+    for p in (*(c for c in CUT_PRIMES if c * c < x), _prime_below(math.isqrt(x))):
+        m = p * next_prime(x // p)
+        expected = [n for n in range(m - 64, m + 65) if is_prime(n)]
+        assert m not in expected
+        lo = m - size + 1
+        before, after = iter_windows(lo, m + 64, 1)
+        assert (before.lo, before.hi, after.lo, after.hi) == (lo, m + 1, m, m + 65)
+        assert np.array_equal(before.odd, sieve_range(lo, m + 1).odd), p  # strikes found afresh
+        primes = np.concatenate([before.primes(), after.primes()])  # they share m alone
+        assert primes[primes >= m - 64].tolist() == expected, p
+    # three whole windows and a short one from odd x - 1, each against its
+    # strikes found afresh, and the same range restarted inside a window
+    lo, hi = x - 1, x + 3 * size + 1000
+    stream = list(iter_windows(lo, hi))
+    assert len(stream) == 4
+    for w in stream:
+        assert np.array_equal(w.odd, sieve_range(w.lo, w.hi).odd), w.lo
+    mid = lo + size + 12_345
+    restarted = [*iter_windows(lo, mid), *iter_windows(mid, hi)]
+    assert np.array_equal(*(np.concatenate([w.primes() for w in ws]) for ws in (stream, restarted)))
 
 
 def test_windows_validation():
@@ -186,48 +229,51 @@ def test_prime_indicator_consistency():
 
 @pytest.mark.parametrize("lo, hi", [(0, 3 * (1 << 21) + 7), (1, 2 * (1 << 21)), (10**6 + 1, 10**7)])
 def test_primes_between_tiles_its_range_with_cache_block_windows(lo, hi, monkeypatch):
-    # each window's odd flags are at most one of sieve_range's cache blocks
-    expected = sieve_range(lo, hi).primes()  # grows the table beforehand
+    # each window is one sieve_range call, whose odd flags are one 1 MiB
+    # cache block; the referee is the unsegmented sieve of conftest
+    flags = np.frombuffer(naive_sieve_flags(hi - 1), dtype=np.uint8)
+    expected = np.flatnonzero(flags[lo:]) + lo
+    primes_upto(math.isqrt(hi - 1) + 1)  # grows the table beforehand
     spans = []
 
-    def recording(a, b, sieve_range=sieve.sieve_range):
+    def recording(a, b, strikes=None, sieve_range=sieve.sieve_range):
         spans.append((a, b))
-        seg = sieve_range(a, b)
-        assert len(seg.odd) <= sieve._BLOCK
+        seg = sieve_range(a, b, strikes)
+        assert len(seg.odd) <= 1 << 20
         return seg
 
     monkeypatch.setattr(sieve, "sieve_range", recording)
     primes = primes_between(lo, hi)
-    assert all(b - a <= 2 * sieve._BLOCK for a, b in spans), spans
+    assert all(b - a <= SEGMENT_SIZE for a, b in spans), spans
     assert [a for a, _ in spans] == [lo] + [b for _, b in spans[:-1]] and spans[-1][1] == hi
     assert np.array_equal(primes, expected)
 
 
 @pytest.mark.parametrize("window", [1, 2, 3, 5, 14])
-def test_primes_between_seams_next_to_2_and_the_wheel_primes(window, monkeypatch):
+def test_primes_between_seams_next_to_2_and_the_wheel_primes(window, sieve_window):
     # windows of 1 to 14 integers from every start below 16 put a seam on
     # each side of 2, 3, 5, 7, 11 and 13, where sieve_range sets the wheel
     # primes back after the presieve and clears 1
-    monkeypatch.setattr(sieve, "_TABLE_WINDOW", window)
+    sieve_window(window)
     for lo in range(16):
         assert primes_between(lo, lo + 60).tolist() == trial_division_primes(lo, lo + 60), lo
 
 
 @pytest.mark.parametrize("window", [8, 1000, 1 << 10])
 @pytest.mark.parametrize("lo, hi", [(0, 3), (0, 5000), (2, 4097), (1000, 1001), (1013, 3072)])
-def test_primes_between_fills_one_buffer_across_seams(lo, hi, window, monkeypatch):
-    monkeypatch.setattr(sieve, "_TABLE_WINDOW", window)
+def test_primes_between_fills_one_buffer_across_seams(lo, hi, window, sieve_window):
+    sieve_window(window)
     primes = primes_between(lo, hi)
     assert primes.dtype == np.uint32 and primes.flags.owndata
     assert primes.tolist() == trial_division_primes(lo, hi)
 
 
 @pytest.mark.parametrize("fill", [1, 8, 37])
-def test_primes_between_fills_each_window_block_by_block(fill, monkeypatch):
+def test_primes_between_fills_each_window_block_by_block(fill, monkeypatch, sieve_window):
     # windows of 1000 integers (500 odd flags) are cut into blocks of fill
     # flags, the window that holds 2 included, and blocks of one flag are
     # often empty
-    monkeypatch.setattr(sieve, "_TABLE_WINDOW", 1000)
+    sieve_window(1000)
     monkeypatch.setattr(sieve, "_FILL_BLOCK", fill)
     for lo, hi in ((0, 5000), (2, 4097), (1013, 3072), (0, 3), (3, 500)):
         primes = primes_between(lo, hi)

@@ -217,7 +217,7 @@ def test_hl_count_twin_published_1e9():
     ((0, 1), 7), ((0, 3), 1000), ((1, 3), 7), ((1, 3), 1000), ((1, 7, 13), 1041),
     ((1, 7, 13), 1000), ((0,), 7), ((1,), 1000), ((0, 2, 600), 1041), ((0, 2, 600), 1000),
 ])
-def test_hl_count_streams_across_window_seams(offsets, size, monkeypatch):
+def test_hl_count_streams_across_window_seams(offsets, size, sieve_window):
     # windows of m = n + h_1 start at 3 + h_1 + i * step; the tuples n whose
     # n + h_k lies in a later window are counted from the overlap alone, and
     # each size puts a seam inside some counted tuple past n = 2, except
@@ -231,27 +231,32 @@ def test_hl_count_streams_across_window_seams(offsets, size, monkeypatch):
     straddling = [n for n in counted if n > 2 and (n - 3) // step != (n - 3 + reach) // step]
     one_parity = len({h % 2 for h in offsets}) == 1
     assert bool(straddling) == (one_parity and reach > 0), "choose other sizes"
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    sieve_window(size)
     assert hl_count(OffsetTuple(offsets), x).actual == len(counted)
 
 
 @pytest.mark.parametrize("h", [2, 5_000, 60_000])
 def test_hl_count_sieves_at_most_twice_its_range(h, monkeypatch):
     # each window sieves h_k again past its span, which is never shorter
-    # than h_k, so the overlaps add at most x + h_k integers
+    # than h_k, so the overlaps add at most x + h_k integers; the windows
+    # of the singular series, which hl_count evaluates too, are counted
+    # apart and taken off
     x = 50_000
+    H = OffsetTuple((0, h))
     sieved = []
     sieve_range = sieve.sieve_range
 
-    def counting(lo, hi):
+    def counting(lo, hi, strikes=None):
         sieved.append(hi - lo)
-        return sieve_range(lo, hi)
+        return sieve_range(lo, hi, strikes)
 
-    expected = hl_count(OffsetTuple((0, h)), x).actual
+    expected = hl_count(H, x).actual
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 10)
     monkeypatch.setattr(sieve, "sieve_range", counting)
-    assert hl_count(OffsetTuple((0, h)), x).actual == expected
-    assert sum(sieved) <= 2 * (x + h), sum(sieved)
+    singular_series(H)
+    series = sum(sieved)
+    assert hl_count(H, x).actual == expected
+    assert sum(sieved) - 2 * series <= 2 * (x + h), (sum(sieved), series)
 
 
 def test_hl_count_twin_ratio_baselines(baseline):
@@ -315,18 +320,18 @@ def test_gallagher_lhs_matches_per_translate_series(k, h, L):
 SERIES_SEAMS = [(7, 5, 64), (1, 1, 64), (3, 2, 200), (7, 5, 1 << 21), (1 << 16, 1 << 10, 64)]
 
 
-def patch_series_seams(monkeypatch, cells, rows, window):
+def patch_series_seams(monkeypatch, sieve_window, cells, rows, window):
     monkeypatch.setattr(tuples, "_SERIES_CELLS", cells)
     monkeypatch.setattr(tuples, "_SERIES_ROWS", rows)
-    monkeypatch.setattr(sieve, "_TABLE_WINDOW", window)
+    sieve_window(window)
 
 
 def test_series_seams_fall_after_the_small_primes_at_the_span_and_between_windows(
-        monkeypatch):
+        monkeypatch, sieve_window):
     # H = {0, 2, 6, 8}: k = 4, so one prime per residue chunk at 7 cells,
     # and span 8; the fold's chunk boundaries, counted in primes from 2,
     # include pi(k), pi(span) and the end of every 64-integer window
-    patch_series_seams(monkeypatch, 7, 5, 64)
+    patch_series_seams(monkeypatch, sieve_window, 7, 5, 64)
     fold, chunks = tuples._fold, []
 
     def recording(acc, factors):
@@ -349,8 +354,9 @@ SEAM_TUPLES = [
 
 
 @pytest.mark.parametrize("cells, rows, window", SERIES_SEAMS)
-def test_singular_series_is_bit_exact_across_series_seams(cells, rows, window, monkeypatch):
-    patch_series_seams(monkeypatch, cells, rows, window)
+def test_singular_series_is_bit_exact_across_series_seams(cells, rows, window, monkeypatch,
+                                                           sieve_window):
+    patch_series_seams(monkeypatch, sieve_window, cells, rows, window)
     for offsets in SEAM_TUPLES:
         H = OffsetTuple(offsets)
         least = max(H.offsets[-1], 2 * H.k)
@@ -359,10 +365,11 @@ def test_singular_series_is_bit_exact_across_series_seams(cells, rows, window, m
 
 
 @pytest.mark.parametrize("cells, rows, window", SERIES_SEAMS)
-def test_series_blocks_are_bit_exact_for_a_mixed_block(cells, rows, window, monkeypatch):
+def test_series_blocks_are_bit_exact_for_a_mixed_block(cells, rows, window, monkeypatch,
+                                                        sieve_window):
     # admissible and inadmissible triples (mod 2 or mod 3) side by side, in
     # blocks of rows tuples, against one whole-array product each
-    patch_series_seams(monkeypatch, cells, rows, window)
+    patch_series_seams(monkeypatch, sieve_window, cells, rows, window)
     triples = [(0, 2, 6), (0, 2, 4), (0, 4, 6), (0, 1, 3), (0, 6, 8), (0, 3, 6), (0, 12, 80),
                (0, 2, 18), (0, 8, 10), (0, 4, 5)]
     L = 700
@@ -373,8 +380,9 @@ def test_series_blocks_are_bit_exact_for_a_mixed_block(cells, rows, window, monk
 
 @pytest.mark.parametrize("cells, rows, window", SERIES_SEAMS)
 @pytest.mark.parametrize("k, h, L", [(1, 20, 300), (2, 30, 500), (3, 20, 700), (4, 16, 200)])
-def test_gallagher_is_bit_exact_across_series_seams(k, h, L, cells, rows, window, monkeypatch):
-    patch_series_seams(monkeypatch, cells, rows, window)
+def test_gallagher_is_bit_exact_across_series_seams(k, h, L, cells, rows, window, monkeypatch,
+                                                   sieve_window):
+    patch_series_seams(monkeypatch, sieve_window, cells, rows, window)
     translates = ((0, *rest) for rest in itertools.combinations(range(1, h), k - 1))
     reference = math.fsum(
         (h - t[-1]) * per_tuple_series(OffsetTuple(t), L).value for t in translates
