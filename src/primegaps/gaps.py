@@ -73,11 +73,9 @@ class GapHistogram:
 
 
 # _histogram_of_runs takes the gaps of this many primes at a time, so its
-# float64 temporaries are 256 KiB each, whatever the length of a run.
-# Blocks of 2^17 (1 MiB temporaries, the size of a sieve window's flags
-# and primes) made gap_histogram(3, 1e8) take 0.28-0.37 s against
-# 0.20-0.22 s, as the allocator handed the freed megabytes back to the
-# system and faulted them in again.
+# float64 temporaries are 256 KiB each, whatever the length of a run; at
+# 2^17 (1 MiB, a sieve window's size) gap_histogram(3, 1e8) took 0.28 to
+# 0.37 s against 0.20 to 0.22, as freed megabytes went back to the system.
 _GAP_BLOCK = 1 << 15
 
 

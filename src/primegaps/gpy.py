@@ -167,9 +167,8 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndar
 def _odd_prime_flags(lo: int, n: int) -> Iterator[np.ndarray]:
     """Primality of the odd integers in each consecutive run of
     _PROFILE_BLOCK integers (the last may be shorter) of [lo, lo + n), in
-    order.  A sieve window holds a whole number of runs (16 of them), so
-    no run crosses a seam: a run starts an even offset into its window, so
-    its flags are a slice of the window's."""
+    order.  A sieve window holds 16 whole runs, each an even offset into
+    it, so every run's flags are a slice of its window's."""
     for seg in iter_windows(lo, lo + n):
         for b in range(0, seg.hi - seg.lo, _PROFILE_BLOCK):
             yield seg.odd[b // 2 : (b + _PROFILE_BLOCK) // 2]

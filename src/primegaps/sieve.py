@@ -128,17 +128,11 @@ def _wheel_pattern() -> np.ndarray:
 
 _PATTERN = _wheel_pattern()
 
-# A prime below _SMALL strikes at least 64 times in a window, in one strided
-# slice; every larger one is struck from an index array of its strikes.
-# The first strikes are set _STRIKE_CHUNK base primes at a time, so their
-# int64 temporaries stay at a few MB whatever the count of base primes.
+# A prime below _SMALL strikes a window at least 64 times, in one strided
+# slice; the larger ones strike from index arrays.  First strikes are found
+# _STRIKE_CHUNK base primes at a time, so their temporaries stay a few MB.
 _SMALL = 1 << 14
 _STRIKE_CHUNK = 1 << 16
-
-
-def _presieved(phase: int, n: int) -> np.ndarray:
-    """n odd flags from the wheel pattern, starting at its index phase."""
-    return np.resize(_PATTERN[phase : phase + _PERIOD], n)
 
 
 def _first_strikes(lo: int, ps: np.ndarray) -> np.ndarray:
@@ -152,9 +146,7 @@ def _first_strikes(lo: int, ps: np.ndarray) -> np.ndarray:
         # one at or past lo is lo + off with off < 2p: no term passes 2^63,
         # and its odd index is base + off // 2 whatever the parity of lo
         off = (p - lo) % (2 * p)
-        off //= 2
-        off += base
-        np.maximum(off, p * p // 2, out=out[a : a + len(p)])
+        np.maximum(off // 2 + base, p * p // 2, out=out[a : a + len(p)])
     return out
 
 
@@ -171,19 +163,18 @@ def sieve_range(lo: int, hi: int, strikes: np.ndarray | None = None) -> SieveSeg
 
     The flags start as the presieved wheel pattern; only the primes from
     17 up to sqrt(hi) strike, each from its first odd multiple >= max(p^2,
-    lo) in steps of 2p.  strikes holds those first multiples as odd indices,
-    as _first_strikes gives them, for the base primes from 17 on as far as
-    sqrt(hi) at least; iter_windows carries them from window to window,
-    and without them they are found here.  Refuses a span hi - lo beyond
-    SEGMENT_SIZE with a PreconditionError; iterate iter_windows for longer
-    ranges.
+    lo) in steps of 2p.  strikes, as _first_strikes gives them for the
+    base primes from 17 on, is where iter_windows carries them; without
+    it they are found here.  Refuses a span hi - lo beyond SEGMENT_SIZE
+    with a PreconditionError; iterate iter_windows for longer ranges.
     """
     require(0 <= lo < hi, f"need 0 <= lo < hi, got [{lo}, {hi})")
     require(hi <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
     require(hi - lo <= SEGMENT_SIZE, f"span {hi - lo} exceeds the {SEGMENT_SIZE} "
             "single-call budget; iterate segments instead")
     o = lo | 1
-    odd = _presieved((o // 2) % _PERIOD, (hi - o + 1) // 2)
+    phase = (o // 2) % _PERIOD
+    odd = np.resize(_PATTERN[phase : phase + _PERIOD], (hi - o + 1) // 2)
     for p in _WHEEL:
         if o <= p < hi:
             odd[(p - o) // 2] = True
@@ -196,10 +187,9 @@ def sieve_range(lo: int, hi: int, strikes: np.ndarray | None = None) -> SieveSeg
     small = int(np.searchsorted(ps, np.uint32(min(_SMALL, n))))
     for j, p in zip((strikes[:small] - base).tolist(), ps[:small].tolist()):
         odd[j::p] = False
-    # the others strike in rounds: each round strikes the next multiple of
-    # every prime that still has one in the window, so a round holds at
-    # most one index per prime, and the first takes in every prime past
-    # the window's length with its one strike or none
+    # the others strike in rounds, each the next multiple of every prime
+    # that still has one in the window: at most one index per prime, and
+    # a prime past the window's length strikes in the first round or never
     live = np.flatnonzero(strikes[small:] < base + n) + small
     j, p = strikes[live] - base, ps[live].astype(np.int64)
     while len(j):
@@ -235,9 +225,8 @@ def iter_windows(lo: int, hi: int, overlap: int = 0) -> Iterator[SieveSegment]:
     holds one window at a time, never the whole range.  A window is one
     sieve_range call, or segments joined in one buffer for an overlap past
     SEGMENT_SIZE / 2.  No span is shorter than the overlap, so the overlaps
-    sieved again add less than the range plus one overlap.  Each base
-    prime's first strike is found once for the whole stream and carried
-    from window to window."""
+    sieved again add less than the range plus one overlap.  The base
+    primes' first strikes are found once and carried from window to window."""
     require(0 <= lo < hi and overlap >= 0, f"need 0 <= lo < hi, overlap >= 0, got "
             f"[{lo}, {hi}), {overlap}")
     require(hi + overlap <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
@@ -285,10 +274,8 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
         return np.empty(0, dtype=np.uint32)
     lo = max(lo, 0)
     out = np.empty(_prime_count_bound(lo, hi), dtype=np.uint32)
-    n = 0
-    if lo <= 2:  # 2 < hi here, and the windows do not store it
-        out[0] = 2
-        n = 1
+    n = int(lo <= 2)  # 2 < hi here, and the windows do not store it
+    out[:n] = 2
     for seg in iter_windows(lo, hi):
         o = seg.lo | 1
         for b in range(0, len(seg.odd), _FILL_BLOCK):
