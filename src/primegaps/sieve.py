@@ -217,34 +217,24 @@ def prime_indicator(lo: int, hi: int) -> np.ndarray:
 
 
 def iter_windows(lo: int, hi: int, overlap: int = 0) -> Iterator[SieveSegment]:
-    """Cover [lo, hi) with consecutive spans [start, end) of
-    max(SEGMENT_SIZE - overlap, overlap) and yield the odd flags of each
-    window [start, end + overlap) as a SieveSegment.
+    """Cover [lo, hi) with consecutive spans [start, end) of SEGMENT_SIZE -
+    overlap and yield the odd flags of each window [start, end + overlap),
+    one sieve_range call each, as a SieveSegment.
 
     A consumer that looks up to overlap past each position of [start, end)
-    holds one window at a time, never the whole range.  A window is one
-    sieve_range call, or segments joined in one buffer for an overlap past
-    SEGMENT_SIZE / 2.  No span is shorter than the overlap, so the overlaps
-    sieved again add less than the range plus one overlap.  The base
-    primes' first strikes are found once and carried from window to window."""
-    require(0 <= lo < hi and overlap >= 0, f"need 0 <= lo < hi, overlap >= 0, got "
-            f"[{lo}, {hi}), {overlap}")
+    holds one window at a time, never the whole range.  An overlap past
+    SEGMENT_SIZE // 2 is refused, so no span is shorter than the overlap,
+    and the overlaps sieved again add at most the range plus one overlap.
+    The base primes' first strikes are found once and carried from window
+    to window."""
+    require(0 <= lo < hi and 0 <= overlap <= SEGMENT_SIZE // 2, f"need 0 <= lo < hi, "
+            f"0 <= overlap <= {SEGMENT_SIZE // 2}, got [{lo}, {hi}), {overlap}")
     require(hi + overlap <= 2**63 - 1, "hi must fit in a signed 64-bit integer")
-    step = max(SEGMENT_SIZE - overlap, overlap)
+    step = SEGMENT_SIZE - overlap
     ps = _base_primes(math.isqrt(hi + overlap - 1) + 1)[len(_WHEEL) + 1 :]
     strikes = _first_strikes(lo, ps)
     for start in range(lo, hi, step):
-        stop = min(start + step, hi) + overlap
-        if stop - start <= SEGMENT_SIZE:
-            yield sieve_range(start, stop, strikes)
-        else:
-            o, at = start | 1, strikes.copy()
-            odd = np.empty(((stop | 1) - o) // 2, dtype=bool)
-            for a in range(start, stop, SEGMENT_SIZE):
-                b = min(a + SEGMENT_SIZE, stop)
-                odd[((a | 1) - o) // 2 : ((b | 1) - o) // 2] = sieve_range(a, b, at).odd
-                _advance(at, ps, b)
-            yield SieveSegment(start, stop, odd)
+        yield sieve_range(start, min(start + step, hi) + overlap, strikes)
         _advance(strikes, ps, start + step)
 
 

@@ -233,35 +233,42 @@ class HLCount(NamedTuple):
     predicted: float
 
 
-# hl_count ANDs the shifted slices of each window this many entries (1 MiB)
-# at a time, so it holds one block beside the window, not a second window.
-_COUNT_BLOCK = 1 << 20
-
-
 def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     """Exact count of n <= x with every n + h_j prime, next to the
     Hardy-Littlewood prediction S(H) x / (log x)^k.
 
     n = 1, 2 are tested one by one.  Past them every n + h_j must be odd,
-    so only a tuple of one parity counts more: the odd flags of the sieve
-    windows of m = n + h_1, ANDed at the shifts (h_j - h_1)/2."""
+    so only a tuple of one parity counts more: the odd flags of n + h_j,
+    ANDed window by window.  Each group of offsets within half a window
+    of its first, g_1, streams the windows of m = n + g_1 and reads its
+    offsets at the shifts (h_j - g_1)/2; all take the widest group's reach
+    as their overlap, so their windows cover the same n, and a tuple of g
+    groups sieves about g x integers."""
     require(x >= 3, "x must be at least 3")
     # the series checks L before any window is sieved
     ss = singular_series(H, L)
     first, *rest = H.offsets
     actual = sum(all(is_prime(n + h) for h in H.offsets) for n in (1, 2))
     if all(h % 2 == first % 2 for h in rest):
-        shifts = [(h - first) // 2 for h in H.offsets]
-        for seg in iter_windows(3 + first, x + first + 1, 2 * shifts[-1]):
-            # the first n_count flags are the window's m, the rest reach m + h_k - h_1
-            n_count = len(seg.odd) - shifts[-1]
-            for lo in range(0, n_count, _COUNT_BLOCK):
-                hi = min(lo + _COUNT_BLOCK, n_count)
-                acc = seg.odd[lo:hi].copy()
-                for s in shifts[1:]:
-                    acc &= seg.odd[lo + s : hi + s]
-                actual += int(np.count_nonzero(acc))
-            del seg  # freed before the next window is sieved, not after
+        groups = []
+        for h in H.offsets:
+            if groups and h - groups[-1][0] <= sieve.SEGMENT_SIZE // 2:
+                groups[-1].append(h)
+            else:
+                groups.append([h])
+        reach = max(g[-1] - g[0] for g in groups)
+        shifts = [[(h - g[0]) // 2 for h in g] for g in groups]
+        streams = [iter_windows(3 + g[0], x + g[0] + 1, reach) for g in groups]
+        for seg in streams[0]:
+            # the first flags are the window's n, the last reach / 2 reach past them
+            acc = seg.odd[: len(seg.odd) - reach // 2].copy()
+            for i in range(len(groups)):
+                if i:
+                    seg = next(streams[i])  # the previous group's window is freed by now
+                for s in shifts[i][not i :]:  # the first group's first shift is acc
+                    acc &= seg.odd[s : s + len(acc)]
+                del seg  # freed before the next window is sieved, not after
+            actual += int(np.count_nonzero(acc))
     predicted = ss.value * x / math.log(x) ** H.k
     return HLCount(actual, predicted)
 

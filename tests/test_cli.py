@@ -385,7 +385,7 @@ def test_bv_scan_sensitivity_checks_doubled_grid_before_scanning(monkeypatch, ca
     def refuse(*args):
         raise AssertionError("scanned before the doubled grid was checked")
 
-    monkeypatch.setattr("primegaps.progressions.bv_scan", refuse)
+    monkeypatch.setattr("primegaps.progressions.bv_scans", refuse)
     argv = ["bv-scan", "--x", "1000", "--q-max", "5", "--checkpoints", "40", "--sensitivity"]
     assert main(argv) == 2
     assert "--sensitivity" in capsys.readouterr().err
@@ -476,6 +476,15 @@ def test_streamed_peak_is_one_window_over_that_at_1e5(argv, x):
     # peaks 10 to 16 MB higher
     base, peak = (peak_rss_kib(*argv, size) for size in ("1e5", x))
     assert peak - base < 4 * 1024, (base, peak)
+
+
+def test_hl_count_peak_is_flat_in_h_k():
+    # offsets past half a window apart stream as two groups of 1 MiB
+    # windows, one window alive at a time, whatever h_k; one buffer joining
+    # windows across h_k grew from 47 to 85 MB between these two
+    near, far = (peak_rss_kib("hl-count", "--offsets", f"0,{h}", "--x", "1e7")
+                 for h in ("20000000", "100000000"))
+    assert abs(far - near) < 4 * 1024, (near, far)
 
 
 def test_gaps_peak_far_out_is_its_base_primes_and_one_window():

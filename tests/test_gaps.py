@@ -291,11 +291,12 @@ def test_interval_stats_equal_prefix_count_referee_at_cli_sizes(x, n_samples, se
         ind, x, n_samples, seed)
 
 
-@pytest.mark.parametrize("size", [7, 1000, 1 << 10])
+@pytest.mark.parametrize("size", [18, 1000, 1 << 10])
 def test_interval_stats_stream_across_window_seams(size, sieve_window):
     # [5000, 10000] holds e^9, so b_9 falls inside a window; 60000 draws
-    # land on every start, so on both sides of every seam; windows of 7
-    # starts are shorter than their overlap of floor(log 10000) = 9
+    # land on every start, so on both sides of every seam; windows of 18
+    # integers span 9 starts, no more than their overlap of
+    # floor(log 10000) = 9
     x, n_samples, seed = 5000, 60_000, 1
     assert len(np.unique(make_rng(seed).integers(x, 2 * x + 1, size=n_samples))) == x + 1
     ind = prime_indicator(0, 2 * x + int(math.log(2 * x)) + 2)

@@ -163,10 +163,15 @@ def test_sieve_far_from_zero_matches_is_prime(lo, span):
     (0, 5000, 0), (1, 5000, 2), (2, 4097, 9), (3, 2048, 40), (1000, 1001, 1500),
 ])
 def test_windows_are_spans_extended_by_the_overlap(lo, hi, overlap, size, sieve_window):
-    # a window is one segment, or two overlaps joined where that is longer
+    # a window is one sieve_range call, and an overlap past half of it is
+    # refused before anything is sieved
     whole = prime_indicator(0, hi + overlap)
     sieve_window(size)
-    step = max(size - overlap, overlap)
+    if overlap > size // 2:
+        with pytest.raises(PreconditionError, match="overlap"):
+            next(iter_windows(lo, hi, overlap))
+        return
+    step = size - overlap
     windows = list(iter_windows(lo, hi, overlap))
     assert [w.lo for w in windows] == list(range(lo, hi, step))
     for w in windows:
@@ -217,9 +222,12 @@ def test_windows_far_out_match_is_prime_at_seams_and_cuts(x):
 
 
 def test_windows_validation():
-    for lo, hi, overlap in ((5, 5, 0), (-1, 5, 0), (0, 5, -1)):
+    half = SEGMENT_SIZE // 2
+    for lo, hi, overlap in ((5, 5, 0), (-1, 5, 0), (0, 5, -1), (0, 5, half + 1)):
         with pytest.raises(PreconditionError):
             next(iter_windows(lo, hi, overlap))
+    window = next(iter_windows(0, 5, half))
+    assert (window.lo, window.hi) == (0, 5 + half)
 
 
 def test_prime_indicator_consistency():

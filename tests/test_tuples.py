@@ -185,16 +185,18 @@ def test_hl_count_inadmissible():
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64, 1018, 1019])
-def test_hl_count_counts_each_n_once_at_any_block_size(block, monkeypatch):
-    # blocks far smaller than x put block edges among the primes themselves;
-    # x = 1019 starts a twin pair, so the last n counts too
-    monkeypatch.setattr(tuples, "_COUNT_BLOCK", block)
+def test_hl_count_counts_each_n_once_at_any_block_size(block, sieve_window):
+    # windows far smaller than x put seams among the primes themselves, and
+    # the smallest split (0, 2, 6) and (0, 4, 6, 10) into groups of offsets
+    # within half a window; x = 1019 starts a twin pair, so the last n
+    # counts too.  L = 20 keeps the series' own windows few.
+    sieve_window(block)
     for offsets in ((0,), (0, 2), (0, 2, 6), (0, 4, 6, 10)):
         expected = sum(
             1 for n in range(1, 1020)
             if all(trial_division_is_prime(n + h) for h in offsets)
         )
-        assert hl_count(OffsetTuple(offsets), 1019).actual == expected
+        assert hl_count(OffsetTuple(offsets), 1019, L=20).actual == expected
 
 
 def test_hl_count_twin_published_1e8():
@@ -211,21 +213,28 @@ def test_hl_count_twin_published_1e9():
 @pytest.mark.parametrize("offsets, size", [
     ((0, 2), 7), ((0, 2), 1000), ((0, 2), 1 << 8),
     ((0, 2, 6, 8), 7), ((0, 2, 6, 8), 1012), ((0, 2, 6, 8), 1051),
-    ((0, 2, 1500), 1000),
+    ((0, 400, 1500), 1000),
     # mixed parity, all-odd offsets, k = 1, and h_k - h_1 past half a
-    # segment, whose windows join two segments
+    # window, which splits the offsets into groups
     ((0, 1), 7), ((0, 3), 1000), ((1, 3), 7), ((1, 3), 1000), ((1, 7, 13), 1041),
-    ((1, 7, 13), 1000), ((0,), 7), ((1,), 1000), ((0, 2, 600), 1041), ((0, 2, 600), 1000),
+    ((1, 7, 13), 1000), ((0,), 7), ((1,), 1000), ((0, 2, 600), 1041), ((0, 300, 600), 1000),
 ])
 def test_hl_count_streams_across_window_seams(offsets, size, sieve_window):
-    # windows of m = n + h_1 start at 3 + h_1 + i * step; the tuples n whose
-    # n + h_k lies in a later window are counted from the overlap alone, and
-    # each size puts a seam inside some counted tuple past n = 2, except
-    # where no window overlaps the next (k = 1) or only n <= 2 count
-    # (mixed parity)
+    # each group of offsets within size // 2 of its first, g_1, streams the
+    # windows of m = n + g_1 from 3 + g_1 + i * step, all overlapping by the
+    # widest group's reach; the tuples n whose n + g_k lies in a later window
+    # are counted from the overlap alone, and each size puts a seam inside
+    # some counted tuple past n = 2, except where no window overlaps the
+    # next (one offset a group) or only n <= 2 count (mixed parity)
     x = 20_000
-    reach = offsets[-1] - offsets[0]
-    step = max(size - reach, reach)
+    groups = [[offsets[0]]]
+    for h in offsets[1:]:
+        if h - groups[-1][0] <= size // 2:
+            groups[-1].append(h)
+        else:
+            groups.append([h])
+    reach = max(g[-1] - g[0] for g in groups)
+    step = size - reach
     ind = prime_indicator(0, x + offsets[-1] + 1)
     counted = [n for n in range(1, x + 1) if all(ind[n + h] for h in offsets)]
     straddling = [n for n in counted if n > 2 and (n - 3) // step != (n - 3 + reach) // step]
@@ -237,10 +246,11 @@ def test_hl_count_streams_across_window_seams(offsets, size, sieve_window):
 
 @pytest.mark.parametrize("h", [2, 5_000, 60_000])
 def test_hl_count_sieves_at_most_twice_its_range(h, monkeypatch):
-    # each window sieves h_k again past its span, which is never shorter
-    # than h_k, so the overlaps add at most x + h_k integers; the windows
-    # of the singular series, which hl_count evaluates too, are counted
-    # apart and taken off
+    # h = 2 sieves each window's h_k again past its span, which is never
+    # shorter than h_k, so the overlaps add at most x + h_k integers; the
+    # larger h are past half a window, so 0 and h stream x integers each;
+    # the windows of the singular series, which hl_count evaluates too, are
+    # counted apart and taken off
     x = 50_000
     H = OffsetTuple((0, h))
     sieved = []
