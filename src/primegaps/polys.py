@@ -33,10 +33,6 @@ class RationalPoly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -72,19 +72,6 @@ def _nu_cached(offsets: tuple[int, ...], ell: int) -> int:
     return len({h % ell for h in offsets})
 
 
-def is_admissible(H: OffsetTuple) -> tuple[bool, int | None]:
-    """Whether H avoids covering all residues mod every prime.
-
-    Only primes ell <= k can be covered (nu <= k < ell otherwise).  Returns
-    (True, None) or (False, witness_prime).
-    """
-    for ell in primes_upto(H.k):
-        ell = int(ell)
-        if _nu_cached(H.offsets, ell) == ell:
-            return False, ell
-    return True, None
-
-
 @dataclass(frozen=True)
 class SingularSeriesValue:
     """Truncated singular series with a rigorous truncation bound.
@@ -124,10 +111,13 @@ def singular_series(H: OffsetTuple, L: int | None = None) -> SingularSeriesValue
         L >= max(H.offsets[-1], 2 * k),
         f"L-too-small: need L >= max(h_k, 2k) = {max(H.offsets[-1], 2 * k)}, got {L}",
     )
-    ok, witness = is_admissible(H)
-    if not ok:
-        return SingularSeriesValue(0.0, L, 0.0, True, witness)
     _, values = next(_series_blocks([H.offsets], k, L))
+    if values[0] == 0.0:
+        # the witness: the least prime ell whose ell classes the offsets all
+        # occupy, necessarily ell <= k (nu <= k < ell otherwise)
+        small = primes_upto(k).tolist()
+        witness = next(ell for ell in small if len({h % ell for h in H.offsets}) == ell)
+        return SingularSeriesValue(0.0, L, 0.0, True, witness)
     # the k = 1 product is exactly 1, so nothing is truncated
     tail = k * (k + 1) / L if k > 1 else 0.0
     return SingularSeriesValue(float(values[0]), L, tail, False, None)
@@ -173,12 +163,10 @@ def _series_blocks(
     block's tuples as an (n, k) int64 array and values[i] is the product
     for row i.  The caller guarantees L >= max(h_k, 2k) for every tuple.
     A tuple covering all classes mod some ell <= k gets 0.0 without a
-    product.
+    product, and only a block with an admissible row sieves [0, L].
     """
     stream = iter(offset_tuples)
     small = primes_upto(k)
-    # an L of one window (the default level's is) is sieved once per call
-    windows = list(_series_windows(k, L)) if L < sieve.SEGMENT_SIZE else None
     while block := list(itertools.islice(stream, _SERIES_ROWS)):
         T = np.array(block, dtype=np.int64)
         if k == 1:
@@ -191,7 +179,7 @@ def _series_blocks(
             admissible &= (_nu(T, small[a : a + step]) < small[a : a + step, None]).all(axis=0)
         values = np.zeros(len(T))
         if admissible.any():
-            values[admissible] = _products(T[admissible], k, windows or _series_windows(k, L))
+            values[admissible] = _products(T[admissible], k, _series_windows(k, L))
         yield T, values
 
 

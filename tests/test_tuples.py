@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from primegaps import OffsetTuple, gallagher_average, prime_count, singular_series
 from primegaps import sieve, tuples
 from primegaps.errors import PreconditionError
-from primegaps.tuples import SingularSeriesValue, _nu_cached, hl_count, is_admissible
+from primegaps.tuples import SingularSeriesValue, _nu_cached, hl_count
 from primegaps.sieve import prime_indicator, primes_upto
 from primegaps.tuples import default_truncation
 
@@ -50,10 +50,28 @@ def test_nu_bounds(offsets, ell):
     assert 1 <= _nu_cached(H.offsets, ell) <= min(H.k, ell)
 
 
+def zero_and_witness(offsets) -> tuple[bool, int | None]:
+    ss = singular_series(OffsetTuple(tuple(offsets)))
+    return ss.is_zero, ss.witness
+
+
 def test_admissibility_examples():
-    assert is_admissible(OffsetTuple((0, 2))) == (True, None)
-    assert is_admissible(OffsetTuple((0, 2, 4))) == (False, 3)
-    assert is_admissible(OffsetTuple((7, 11, 13, 17, 19, 23))) == (True, None)
+    assert zero_and_witness((0, 2)) == (False, None)
+    assert zero_and_witness((0, 2, 4)) == (True, 3)
+    assert zero_and_witness((0, 1, 2, 3, 4, 5)) == (True, 2)  # the least witness, not 3 or 5
+    assert zero_and_witness((7, 11, 13, 17, 19, 23)) == (False, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8))
+def test_witness_is_the_least_covered_prime(offsets):
+    # referee: the least prime ell <= k at which the offsets fill all ell
+    # classes, from Python sets, with no sieve or table involved
+    H = sorted(offsets)
+    covered = [ell for ell in range(2, len(H) + 1)
+               if trial_division_is_prime(ell) and len({h % ell for h in H}) == ell]
+    witness = covered[0] if covered else None
+    assert zero_and_witness(H) == (witness is not None, witness)
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,8 +81,7 @@ def test_primes_above_k_are_admissible(data):
     k = data.draw(st.integers(min_value=1, max_value=8))
     pool = [int(p) for p in primes_upto(1000) if p > k]
     picks = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
-    ok, witness = is_admissible(OffsetTuple(tuple(sorted(picks))))
-    assert ok and witness is None
+    assert zero_and_witness(sorted(picks)) == (False, None)
 
 
 def test_singular_series_twin():
@@ -398,6 +415,28 @@ def test_gallagher_is_bit_exact_across_series_seams(k, h, L, cells, rows, window
         (h - t[-1]) * per_tuple_series(OffsetTuple(t), L).value for t in translates
     )
     assert gallagher_average(k, h, L).lhs == reference
+
+
+@pytest.mark.parametrize("call, streams", [
+    (lambda: singular_series(OffsetTuple((0,))), 0),         # the k = 1 product is exactly 1
+    (lambda: singular_series(OffsetTuple((0, 2, 4))), 0),    # covers all classes mod 3
+    (lambda: gallagher_average(1, 50), 0),
+    (lambda: gallagher_average(3, 3), 0),                    # its one translate is (0, 1, 2)
+    (lambda: gallagher_average(3, 100), 5),                  # 4851 translates in 5 blocks
+    (lambda: singular_series(OffsetTuple((0, 2))), 1),
+], ids=["S(0)", "S(0,2,4)", "G(1,50)", "G(3,3)", "G(3,100)", "S(0,2)"])
+def test_series_sieves_its_level_only_for_a_product(call, streams, monkeypatch):
+    # one stream of [0, L] per block with an admissible row, none otherwise
+    calls = []
+
+    def recording(lo, hi, overlap=0):
+        calls.append((lo, hi))
+        return sieve.iter_windows(lo, hi, overlap)
+
+    monkeypatch.setattr(tuples, "iter_windows", recording)
+    call()
+    assert len(calls) == streams
+    assert all(lo == 0 for lo, _ in calls)
 
 
 def test_singular_series_sieves_its_level_without_the_prime_table():
