@@ -159,19 +159,17 @@ def _meta(args, **params) -> dict:
 
 
 def _histogram_rows(hist):
-    from .gaps import exponential_bin_mass
+    from .gaps import BIN_BOUNDS, BIN_MASS
 
-    masses = exponential_bin_mass(hist.bin_edges)
     rows = []
-    edges = list(hist.bin_edges) + [math.inf]
     for i in range(len(hist.counts)):
         rows.append(
             {
-                "bin_lo": float(edges[i]),
-                "bin_hi": float(edges[i + 1]),
+                "bin_lo": float(BIN_BOUNDS[i]),
+                "bin_hi": float(BIN_BOUNDS[i + 1]),
                 "count": int(hist.counts[i]),
                 "fraction": float(hist.counts[i] / hist.total) if hist.total else 0.0,
-                "predicted_mass": float(masses[i]),
+                "predicted_mass": float(BIN_MASS[i]),
             }
         )
     return ["bin_lo", "bin_hi", "count", "fraction", "predicted_mass"], rows
@@ -298,7 +296,7 @@ def _parse_poly(text: str, k: int):
         coeffs = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"cannot parse coefficients {text!r}: {exc}")
-    return PolynomialSpec.from_coeffs(coeffs, k)
+    return PolynomialSpec(coeffs, k)
 
 
 def _cmd_gpy_ratio(args):

@@ -30,33 +30,26 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def default_bin_edges() -> np.ndarray:
-    """Edges 0.0, 0.1, ..., 4.0; the overflow bin catches the rest
-    (about 2% of the predicted mass)."""
-    return np.round(np.arange(0, 41) * 0.1, 10)
-
-
-def exponential_bin_mass(bin_edges: np.ndarray) -> np.ndarray:
-    """Predicted mass per bin for the density e^{-t}, overflow last."""
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    masses = np.empty(len(edges))
-    masses[:-1] = np.exp(-edges[:-1]) - np.exp(-edges[1:])
-    masses[-1] = math.exp(-edges[-1])
-    return masses
+# The histogram's bins: [BIN_BOUNDS[i], BIN_BOUNDS[i+1]) for the edges 0.0,
+# 0.1, ..., 4.0, the last bin [4.0, inf] catching the rest (about 2% of the
+# predicted mass), and BIN_MASS[i] the mass of bin i under the density e^{-t}.
+BIN_BOUNDS = np.append(np.round(np.arange(0, 41) * 0.1, 10), np.inf)
+BIN_MASS = np.append(
+    np.exp(-BIN_BOUNDS[:-2]) - np.exp(-BIN_BOUNDS[1:-1]), math.exp(-BIN_BOUNDS[-2]))
+BIN_BOUNDS.flags.writeable = False
+BIN_MASS.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class GapHistogram:
     """Histogram of normalized gaps (p_next - p)/log p over a run of primes.
 
-    counts[i] covers [bin_edges[i], bin_edges[i+1]) and counts[-1] is the
-    overflow bin for gaps at or beyond the last edge, so the bins partition
+    counts[i] counts the gaps in bin i of BIN_BOUNDS, so the bins partition
     [0, inf) and the counts sum to total.  max_gap_over_log_sq is the largest
     gap/(log p)^2 and max_gap_at_p the first p attaining it (NaN and None
     when there are no gaps).
     """
 
-    bin_edges: np.ndarray
     counts: np.ndarray
     total: int
     max_gap_over_log_sq: float = math.nan
@@ -64,11 +57,8 @@ class GapHistogram:
 
     def mass_below(self, t: float) -> float:
         """Empirical fraction of normalized gaps <= t (exact bin edges only)."""
-        idx = int(np.searchsorted(self.bin_edges, t, side="left"))
-        require(
-            idx < len(self.bin_edges) and self.bin_edges[idx] == t,
-            f"{t} is not a bin edge",
-        )
+        idx = int(np.searchsorted(BIN_BOUNDS, t, side="left"))
+        require(idx < len(BIN_BOUNDS) and BIN_BOUNDS[idx] == t, f"{t} is not a bin edge")
         return float(self.counts[:idx].sum() / self.total)
 
 
@@ -79,7 +69,7 @@ class GapHistogram:
 _GAP_BLOCK = 1 << 15
 
 
-def _histogram_of_runs(runs: Iterable[np.ndarray], edges: np.ndarray) -> GapHistogram:
+def _histogram_of_runs(runs: Iterable[np.ndarray]) -> GapHistogram:
     """Histogram the gaps of the ascending runs, taken in turn as one
     sequence, each gap normalized by log p at its lower end.
 
@@ -88,8 +78,7 @@ def _histogram_of_runs(runs: Iterable[np.ndarray], edges: np.ndarray) -> GapHist
     so taking the sequence in runs and blocks gives the same counts and,
     with a strict > across blocks, the same first p attaining the largest
     gap/(log p)^2 as one pass over it."""
-    counts = np.zeros(len(edges), dtype=np.int64)
-    ext = np.append(edges, np.inf)  # the last bin is [edges[-1], inf]
+    counts = np.zeros(len(BIN_MASS), dtype=np.int64)
     total, worst, worst_p = 0, math.nan, None
 
     def add(block: np.ndarray) -> None:
@@ -100,7 +89,7 @@ def _histogram_of_runs(runs: Iterable[np.ndarray], edges: np.ndarray) -> GapHist
         i = int(stat.argmax())
         if worst_p is None or stat[i] > worst:
             worst, worst_p = float(stat[i]), int(block[i])
-        counts += np.histogram(gaps / log_p, ext)[0]
+        counts += np.histogram(gaps / log_p, BIN_BOUNDS)[0]
         total += len(gaps)
 
     last = None
@@ -113,7 +102,7 @@ def _histogram_of_runs(runs: Iterable[np.ndarray], edges: np.ndarray) -> GapHist
             add(run[lo : lo + _GAP_BLOCK + 1])
         last = run[-1]
         del run  # freed before the next run is made, not after
-    return GapHistogram(edges, counts, total, worst, worst_p)
+    return GapHistogram(counts, total, worst, worst_p)
 
 
 def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
@@ -126,7 +115,7 @@ def gap_histogram(x_lo: int, x_hi: int) -> GapHistogram:
     require(x_lo >= 3, "x_lo must be at least 3")
     require(x_hi > x_lo, "empty range")
     segments = iter_windows(x_lo, next_prime(x_hi - 1) + 1)
-    hist = _histogram_of_runs(map(SieveSegment.primes, segments), default_bin_edges())
+    hist = _histogram_of_runs(map(SieveSegment.primes, segments))
     require(hist.total >= 1, f"no primes in [{x_lo}, {x_hi})")
     return hist
 
@@ -337,7 +326,7 @@ def cramer_simulate(cfg: CramerConfig) -> CramerResult:
             var_terms.append(var)
             yield np.flatnonzero(hits) + lo
 
-    hist = _histogram_of_runs(positions(), default_bin_edges())
+    hist = _histogram_of_runs(positions())
     return CramerResult(
         config=cfg,
         simulated_count=hist.total + 1,
@@ -359,7 +348,7 @@ class LongGapReport:
     (each shares a factor at most m with N), a run of m - 1 integers.
     observed_run_over_log_sq scales the observed run like the limsup
     statistic gap/(log p)^2, with p = run_start.  rankin_bound_at_N
-    evaluates the record lower-bound expression at N with c = 1 (NaN when
+    evaluates the record lower-bound expression at N (NaN when
     the iterated logs are undefined); the limsup constants are the
     reference values for gap/(log p)^2.
     """
@@ -402,7 +391,7 @@ def long_gap_construct(kind: str, m: int) -> LongGapReport:
     q = next_prime(N + 1)
     observed = q - run_start
     try:
-        rb = rankin_bound(float(N), 1.0)
+        rb = rankin_bound(float(N))
     except PreconditionError:
         rb = math.nan
     return LongGapReport(
@@ -417,10 +406,10 @@ def long_gap_construct(kind: str, m: int) -> LongGapReport:
     )
 
 
-def rankin_bound(p: float, c: float) -> float:
+def rankin_bound(p: float) -> float:
     """The record long-gap lower bound
 
-        c * log p * (log log p) * (log log log log p) / (log log log p)^2,
+        log p * (log log p) * (log log log log p) / (log log log p)^2,
 
     valid once all four iterated logs are positive (p > e^(e^e))."""
     require(p > 1, "p must exceed 1")
@@ -430,4 +419,4 @@ def rankin_bound(p: float, c: float) -> float:
     require(not math.isnan(l3) and l3 > 0, "iterated logs undefined: need p > e^(e^e)")
     l4 = math.log(l3)
     require(l4 > 0, "iterated logs not positive: need p > e^(e^e)")
-    return c * l1 * l2 * l4 / (l3 * l3)
+    return l1 * l2 * l4 / (l3 * l3)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import require
 
@@ -90,6 +90,8 @@ class PolynomialSpec:
 
     k is the tuple size the weights are built for; the vanishing condition
     is what makes the divisor-sum main terms come out as beta integrals.
+    coeffs, low order first, may be any values Fraction accepts; they are
+    stored as a tuple of Fractions without trailing zeros.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -105,10 +107,6 @@ class PolynomialSpec:
         )
         require(poly(Fraction(1)) == 1, "polynomial must satisfy P(1) = 1")
         object.__setattr__(self, "coeffs", poly.coeffs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[CoeffLike], k: int) -> "PolynomialSpec":
-        return cls(tuple(Fraction(c) for c in coeffs), k)
 
     @classmethod
     def power(cls, k: int, r: int) -> "PolynomialSpec":

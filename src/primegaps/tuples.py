@@ -195,24 +195,31 @@ def _products(U: np.ndarray, k: int, windows) -> np.ndarray:
     and prod(axis=0) folds each column from the top, so each value is the
     same left-to-right float product in ascending ell whatever windows,
     chunks and block the tuple meets.
+
+    Every factor is positive, so a running product past the float64 range
+    stays inf; that raises OverflowError instead of returning inf.
     """
     n = len(U)
     top = max(int((U[:, -1] - U[:, 0]).max()), k)
     # the residues hold k cells for each factor cell
     residue_step, shared_step = max(1, _SERIES_CELLS // (n * k)), max(1, _SERIES_CELLS // n)
     acc = np.ones(n)
-    for primes, power, shared in windows:
-        s = int(np.searchsorted(primes, top, side="right"))
-        for a in range(0, s, residue_step):
-            b = min(a + residue_step, s)
-            nu = _nu(U, primes[a:b])
-            acc = _fold(acc, (1.0 - nu / primes[a:b, None]) * power[a:b, None])
-        for a in range(s, len(primes), shared_step):
-            b = min(a + shared_step, len(primes))
-            factors = np.empty((b - a, n))
-            factors[:] = shared[a:b, None]
-            acc = _fold(acc, factors)
-        del primes, power, shared  # freed before the next window is sieved
+    # also silences the windows' (1 - 1/ell)^(-k), computed as they are drawn
+    with np.errstate(over="ignore"):
+        for primes, power, shared in windows:
+            s = int(np.searchsorted(primes, top, side="right"))
+            for a in range(0, s, residue_step):
+                b = min(a + residue_step, s)
+                nu = _nu(U, primes[a:b])
+                acc = _fold(acc, (1.0 - nu / primes[a:b, None]) * power[a:b, None])
+            for a in range(s, len(primes), shared_step):
+                b = min(a + shared_step, len(primes))
+                factors = np.empty((b - a, n))
+                factors[:] = shared[a:b, None]
+                acc = _fold(acc, factors)
+            del primes, power, shared  # freed before the next window is sieved
+    if not np.isfinite(acc).all():
+        raise OverflowError(f"singular series of {k} offsets beyond the float64 range")
     return acc
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -177,6 +178,26 @@ def test_gpy_ratio_headline():
     code, out = run_cli(["gpy-ratio", "--k", "7", "--r", "1", "--theta", "0.5"])
     assert code == 0
     assert "0.15" in out
+
+
+@pytest.mark.parametrize("argv", [["gaps", "--x-hi", "1e5"], ["cramer", "--n-max", "1e5"]])
+def test_histogram_rows_are_the_fixed_bins(argv):
+    from primegaps.gaps import BIN_BOUNDS, BIN_MASS
+
+    expected = {"bin_lo": BIN_BOUNDS[:-1], "bin_hi": BIN_BOUNDS[1:], "predicted_mass": BIN_MASS}
+    assert BIN_BOUNDS[-1] == math.inf
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 41
+    for column, values in expected.items():
+        assert [row[column] for row in rows] == [float(f"{v:.12g}") for v in values.tolist()]
+    code, out = run_cli(argv)
+    assert code == 0
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert len(table) == 41
+    for column, values in expected.items():
+        assert [row[column] for row in table] == [f"{v:.12g}" for v in values.tolist()]
 
 
 def test_tuple_inadmissible_witness():
@@ -572,6 +593,19 @@ def test_wide_tuple_peak_is_bounded():
 def test_overflow_exits_1(capsys):
     code = main(["longgap", "--kind", "factorial", "--m", "25"])
     assert code == 1
+
+
+def test_singular_series_past_float64_exits_1_without_output():
+    # the first 400 primes above 400, shifted to start at 0: an admissible
+    # tuple whose singular series is beyond the float64 range
+    from primegaps.sieve import primes_between
+
+    ps = primes_between(401, 5000)[:400]
+    proc = run_cli_process(["tuple", "--offsets", ",".join(map(str, ps - ps[0]))])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("primegaps: runtime failure: singular series")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_unwritable_out_exits_1_without_temporary_file(tmp_path, capsys):

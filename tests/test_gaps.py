@@ -11,31 +11,34 @@ from primegaps import CramerConfig, OffsetTuple, cramer_simulate, gap_histogram
 from primegaps import gaps, sieve
 from primegaps.errors import PreconditionError
 from primegaps.gaps import (
-    exponential_bin_mass,
+    BIN_BOUNDS,
+    BIN_MASS,
     interval_count_distribution,
     long_gap_construct,
     poisson_unit_pmf,
     rankin_bound,
 )
 from primegaps.sieve import next_prime, primes_between
-from primegaps.gaps import default_bin_edges, interval_counts_from_indicator, make_rng
+from primegaps.gaps import interval_counts_from_indicator, make_rng
 from primegaps.sieve import prime_indicator
 
 from conftest import naive_factorize
 
 
-def test_predicted_mass_unit_bin():
-    edges = np.array([0.0, 1.0])
-    masses = exponential_bin_mass(edges)
-    assert masses[0] == pytest.approx(1 - math.exp(-1))
-    assert masses[0] == pytest.approx(0.6321, abs=1e-4)
-    assert masses.sum() == pytest.approx(1.0)
-
-
 def test_default_edges_capture_most_predicted_mass():
-    masses = exponential_bin_mass(default_bin_edges())
-    assert masses[-1] == pytest.approx(math.exp(-4.0))
-    assert masses[:-1].sum() >= 0.98
+    # the ten bins below t = 1 hold 1 - e^{-1} of the mass, and all 41 hold it all
+    assert BIN_MASS[:10].sum() == pytest.approx(1 - math.exp(-1))
+    assert BIN_MASS[:10].sum() == pytest.approx(0.6321, abs=1e-4)
+    assert BIN_MASS.sum() == pytest.approx(1.0)
+    assert BIN_MASS[-1] == pytest.approx(math.exp(-4.0))
+    assert BIN_MASS[:-1].sum() >= 0.98
+
+
+def test_bin_constants_are_read_only():
+    for constant in (BIN_BOUNDS, BIN_MASS):
+        with pytest.raises(ValueError):
+            constant[0] = 1.0
+        assert constant[0] != 1.0
 
 
 def test_histogram_fractions_partition():
@@ -55,19 +58,24 @@ def test_histogram_conservation_against_iter_gaps():
     assert hist.max_gap_at_p == worst_p
 
 
-def searchsorted_bins(t, edges):
+# the finite bin edges 0.0, ..., 4.0; the referees put everything past the
+# last one in the overflow bin
+EDGES = BIN_BOUNDS[:-1]
+
+
+def searchsorted_bins(t):
     """Referee: the bin of each t by binary search, overflow last."""
-    return np.minimum(np.searchsorted(edges, t, side="right") - 1, len(edges) - 1)
+    return np.minimum(np.searchsorted(EDGES, t, side="right") - 1, len(EDGES) - 1)
 
 
-def one_pass_histogram(seq, edges):
+def one_pass_histogram(seq):
     """Referee: counts, total, largest gap/(log p)^2 and its first p, each
     from the whole sequence at once."""
     diffs = np.diff(seq)
     log_p = np.log(seq[:-1].astype(np.float64))
     stat = diffs / np.square(log_p)
     i = int(stat.argmax())
-    counts = np.bincount(searchsorted_bins(diffs / log_p, edges), minlength=len(edges))
+    counts = np.bincount(searchsorted_bins(diffs / log_p), minlength=len(EDGES))
     return counts.tolist(), len(diffs), float(stat[i]), int(seq[i])
 
 
@@ -78,12 +86,11 @@ def histogram_tuple(hist):
 @pytest.mark.parametrize("block", [1, 2, 7, 1000])
 def test_histogram_blocks_match_one_pass(block, monkeypatch):
     seq = primes_between(3, 10**5)
-    edges = default_bin_edges()
     monkeypatch.setattr(gaps, "_GAP_BLOCK", block)
     # fed in uneven runs, some empty and some of one prime, so gaps also
     # cross the seams between runs
     runs = np.split(seq, [0, 1, 5, 5, 6, 1000, 1001, 4000])
-    assert histogram_tuple(gaps._histogram_of_runs(runs, edges)) == one_pass_histogram(seq, edges)
+    assert histogram_tuple(gaps._histogram_of_runs(runs)) == one_pass_histogram(seq)
 
 
 @pytest.mark.parametrize("size", [8, 1000, 1 << 10])
@@ -92,18 +99,15 @@ def test_gap_histogram_carries_across_segment_seams(x_lo, x_hi, size, sieve_wind
     # segments of 8 integers are often empty, and [113, 120) holds the one
     # prime 113, whose gap reaches 127 in a later segment
     seq = primes_between(x_lo, next_prime(x_hi - 1) + 1)
-    expected = one_pass_histogram(seq, default_bin_edges())
+    expected = one_pass_histogram(seq)
     sieve_window(size)
     assert histogram_tuple(gap_histogram(x_lo, x_hi)) == expected
 
 
-EDGES = default_bin_edges()
-
-
 @given(data=st.data())
 def test_histogram_with_an_inf_edge_bins_like_searchsorted(data):
-    # _histogram_of_runs counts with np.histogram over the edges and inf:
-    # half-open bins, the last one [4.0, inf]
+    # _histogram_of_runs counts with np.histogram over BIN_BOUNDS, the
+    # edges and inf: half-open bins, the last one [4.0, inf]
     near_edge = st.builds(
         lambda e, k: float(e + k * np.spacing(e if e else 1.0)),
         st.sampled_from(EDGES.tolist()), st.integers(-4, 4),
@@ -114,9 +118,9 @@ def test_histogram_with_an_inf_edge_bins_like_searchsorted(data):
         EDGES, np.nextafter(EDGES, -np.inf), np.nextafter(EDGES, np.inf),
         [0.0, 4.0, 5.0, 1e9], np.asarray(drawn, dtype=np.float64),
     ])
-    counts = np.histogram(t, np.append(EDGES, np.inf))[0]
+    counts = np.histogram(t, BIN_BOUNDS)[0]
     # np.histogram drops values below 0, which no normalized gap takes
-    expected = np.bincount(searchsorted_bins(t[t >= 0], EDGES), minlength=len(EDGES))
+    expected = np.bincount(searchsorted_bins(t[t >= 0]), minlength=len(EDGES))
     assert counts.tolist() == expected.tolist()
 
 
@@ -355,7 +359,7 @@ def test_cramer_chunks_replay_the_whole_array(n_max, seed, chunk, monkeypatch):
     assert np.array_equal(res.indicators, ind)
     assert res.simulated_count == len(positions)
     if len(positions) >= 2:
-        assert histogram_tuple(res.histogram) == one_pass_histogram(positions, default_bin_edges())
+        assert histogram_tuple(res.histogram) == one_pass_histogram(positions)
     else:
         assert res.histogram.total == 0 and res.histogram.max_gap_at_p is None
 
@@ -475,30 +479,26 @@ def test_limsup_reference_constants():
 # ---------------------------------------------------------------------------
 # record long-gap bound expression
 
-def test_rankin_zero_c():
-    assert rankin_bound(10**9, 0.0) == 0.0
-
-
 def test_rankin_two_evaluation_orders():
-    p, c = 10**9, 1.0
-    direct = rankin_bound(p, c)
+    p = 10**9
+    direct = rankin_bound(p)
     l1 = math.log(p)
     l2 = math.log(l1)
     l3 = math.log(l2)
     l4 = math.log(l3)
-    regrouped = (c * l4) * ((l1 / l3) * (l2 / l3))
+    regrouped = l4 * ((l1 / l3) * (l2 / l3))
     assert direct == pytest.approx(regrouped, rel=1e-12)
 
 
 def test_rankin_monotone_in_p():
     points = [math.exp(t) for t in np.linspace(16, 40, 25)]
-    values = [rankin_bound(p, 1.0) for p in points]
+    values = [rankin_bound(p) for p in points]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_rankin_domain():
     with pytest.raises(PreconditionError):
-        rankin_bound(100.0, 1.0)
+        rankin_bound(100.0)
     with pytest.raises(PreconditionError):
-        rankin_bound(math.exp(math.exp(math.e)) * 0.9, 1.0)
-    rankin_bound(math.exp(math.exp(math.e)) * 1.1, 1.0)
+        rankin_bound(math.exp(math.exp(math.e)) * 0.9)
+    rankin_bound(math.exp(math.exp(math.e)) * 1.1)

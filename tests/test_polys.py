@@ -99,10 +99,10 @@ def test_vanishing_order():
 def test_polynomial_spec_validation():
     PolynomialSpec.power(3, 2)
     with pytest.raises(PreconditionError):
-        PolynomialSpec.from_coeffs([0, 1], 2)        # vanishing order 1 < k
+        PolynomialSpec([0, 1], 2)        # vanishing order 1 < k
     with pytest.raises(PreconditionError):
-        PolynomialSpec.from_coeffs([0, 0, 2], 2)     # P(1) = 2
-    spec = PolynomialSpec.from_coeffs([0, 0, Fraction(1, 2), Fraction(1, 2)], 2)
+        PolynomialSpec([0, 0, 2], 2)     # P(1) = 2
+    spec = PolynomialSpec([0, 0, Fraction(1, 2), Fraction(1, 2)], 2)
     assert spec.poly(Fraction(1)) == 1
 
 

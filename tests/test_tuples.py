@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ def test_singular_series_matches_per_tuple_product(offsets, extra):
 def test_singular_series_prime_tuple_nonzero():
     ss = singular_series(OffsetTuple((7, 11, 13, 17, 19, 23)))
     assert not ss.is_zero and ss.value > 0
+
+
+def test_singular_series_past_float64_raises_overflow():
+    # the offsets p - p_0 of the first k primes above k, admissible; the
+    # ascending partial products pass 1.8e308 somewhere between k = 300 and 400
+    def first_primes_above(k):
+        ps = sieve.primes_between(k + 1, 5000)[:k]
+        return OffsetTuple(tuple((ps - ps[0]).tolist()))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 1e217 < singular_series(first_primes_above(300)).value < math.inf
+        with pytest.raises(OverflowError, match="singular series of 400 offsets"):
+            singular_series(first_primes_above(400))
 
 
 def test_hl_count_twin_100():
