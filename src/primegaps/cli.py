@@ -29,6 +29,9 @@ DEFAULT_SEED = 0
 OUTDIR_ENV = "PRIMEGAPS_OUTDIR"
 
 # refuse-by-default work limits; --force overrides
+# MAX_SIEVE_SPAN also bounds k*L: the singular series takes k residues per
+# tuple for each prime up to L, reading one 1 MiB sieve window and 512 KiB
+# factor chunk at a time, so k*L bounds its work, not its memory
 MAX_SIEVE_SPAN = 2_000_000_000
 MAX_SAMPLES = 10_000_000  # about 8 bytes of peak memory each
 MAX_CRAMER = 200_000_000
@@ -136,17 +139,10 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _guard(force: bool, condition: bool, message: str) -> None:
-    if not condition and not force:
-        raise PreconditionError(message + " (pass --force to override)")
-
-
-def _guard_level(force: bool, k: int, L: int) -> None:
-    # the series kernel sorts k residues per tuple for each prime up to its
-    # span (<= L) and multiplies pi(L) factors per tuple; it reads one 1 MiB
-    # sieve window and 512 KiB factor chunk at a time, so k*L bounds work,
-    # not memory
-    _guard(force, k * L <= MAX_SIEVE_SPAN, f"k*L {k * L} beyond singular-series budget")
+def _guard(force: bool, what: str, size: int, limit: int) -> None:
+    if size > limit and not force:
+        raise PreconditionError(
+            f"{what} {size} beyond the budget of {limit} (pass --force to override)")
 
 
 def _meta(args, **params) -> dict:
@@ -183,7 +179,7 @@ def _cmd_gaps(args):
 
     # the window plus the base primes up to sqrt(x_hi)
     span = args.x_hi - args.x_lo + math.isqrt(max(args.x_hi, 0))
-    _guard(args.force, span <= MAX_SIEVE_SPAN, f"sieved span {span} beyond sieve budget")
+    _guard(args.force, "sieved span", span, MAX_SIEVE_SPAN)
     hist = gap_histogram(args.x_lo, args.x_hi)
     columns, rows = _histogram_rows(hist)
     meta = _meta(args, x_lo=args.x_lo, x_hi=args.x_hi)
@@ -199,8 +195,10 @@ def _cmd_gaps(args):
 def _cmd_intervals(args):
     from .gaps import interval_count_distribution, poisson_unit_pmf
 
-    _guard(args.force, 2 * args.x <= MAX_SIEVE_SPAN, f"2x {2 * args.x} beyond sieve budget")
-    _guard(args.force, args.n_samples <= MAX_SAMPLES, "n_samples beyond budget")
+    # the starts [x, 2x] plus the base primes up to sqrt(2x)
+    span = args.x + 1 + math.isqrt(max(2 * args.x, 0))
+    _guard(args.force, "sieved span", span, MAX_SIEVE_SPAN)
+    _guard(args.force, "n_samples", args.n_samples, MAX_SAMPLES)
     stats = interval_count_distribution(args.x, args.n_samples, args.seed)
     rows = [
         {"k": k, "empirical_fraction": frac, "poisson_prediction": poisson_unit_pmf(k)}
@@ -215,7 +213,7 @@ def _cmd_intervals(args):
 def _cmd_cramer(args):
     from .gaps import CramerConfig, cramer_simulate
 
-    _guard(args.force, args.n_max <= MAX_CRAMER, f"n_max {args.n_max} beyond budget")
+    _guard(args.force, "n_max", args.n_max, MAX_CRAMER)
     result = cramer_simulate(CramerConfig(n_max=args.n_max, seed=args.seed))
     columns, rows = _histogram_rows(result.histogram)
     meta = _meta(args, n_max=args.n_max)
@@ -237,7 +235,7 @@ def _cmd_tuple(args):
 
     H = OffsetTuple.parse(args.offsets)
     L = args.L if args.L is not None else default_truncation(H.offsets[-1], H.k)
-    _guard_level(args.force, H.k, L)
+    _guard(args.force, "k*L", H.k * L, MAX_SIEVE_SPAN)
     ss = singular_series(H, L)
     row = {
         "offsets": str(H),
@@ -256,13 +254,9 @@ def _cmd_hl_count(args):
     from .tuples import OffsetTuple, default_truncation, hl_count
 
     H = OffsetTuple.parse(args.offsets)
-    _guard(
-        args.force,
-        args.x + H.offsets[-1] <= MAX_SIEVE_SPAN,
-        f"x + h_k {args.x + H.offsets[-1]} beyond sieve budget",
-    )
+    _guard(args.force, "x + h_k", args.x + H.offsets[-1], MAX_SIEVE_SPAN)
     L = args.L if args.L is not None else default_truncation(H.offsets[-1], H.k)
-    _guard_level(args.force, H.k, L)
+    _guard(args.force, "k*L", H.k * L, MAX_SIEVE_SPAN)
     res = hl_count(H, args.x, L)
     row = {
         "offsets": str(H),
@@ -277,13 +271,17 @@ def _cmd_gallagher(args):
     from .tuples import default_truncation, gallagher_average
 
     L = args.L if args.L is not None else default_truncation(args.h, args.k)
-    _guard_level(args.force, args.k, L)
-    # binomial(h - j + i, i) grows with i and passes 10^7 within 14 steps;
-    # a k outside [1, h] leaves j < 1, for gallagher_average's own checks
-    j, c = min(args.k, args.h - args.k), 1
-    beyond = any((c := c * (args.h - j + i) // i) > SUBSET_BUDGET for i in range(1, j + 1))
-    _guard(args.force, not beyond,
-           f"binomial({args.h}, {args.k}) beyond the {SUBSET_BUDGET} subset budget")
+    _guard(args.force, "k*L", args.k * L, MAX_SIEVE_SPAN)
+    # gallagher_average evaluates binomial(h - 1, k - 1) translates; the count
+    # binomial(n - j + i, i) passes 10^7 within 14 steps and stops there at a
+    # lower bound; a k outside [1, h] leaves j < 1, for the library's checks
+    n, r = args.h - 1, args.k - 1
+    i, j, c = 0, min(r, n - r), 1
+    while i < j and c <= SUBSET_BUDGET:
+        i += 1
+        c = c * (n - j + i) // i
+    what = f"binomial({n}, {r}) translates" + (", at least" if i < j else "")
+    _guard(args.force, what, c, SUBSET_BUDGET)
     res = gallagher_average(args.k, args.h, L)
     row = {"k": args.k, "h": args.h, "L": L, **res._asdict()}
     return list(row), [row], _meta(args, k=args.k, h=args.h, L=L)
@@ -322,14 +320,13 @@ def _cmd_gpy_experiment(args):
 
     H = OffsetTuple.parse(args.offsets)
     profile = args.x + 1
-    _guard(args.force, profile <= MAX_PROFILE,
-           f"weight profile of {profile} entries beyond budget")
+    _guard(args.force, "weight profile entries", profile, MAX_PROFILE)
     R = args.R if args.R is not None else max(2, math.isqrt(math.isqrt(args.x)))
     require_level(R, args.x)
     degree = H.k + args.r
-    _guard(args.force, degree <= MAX_POLY_DEGREE, f"degree k+r {degree} beyond budget")
+    _guard(args.force, "degree k+r", degree, MAX_POLY_DEGREE)
     # the asymptotics take S(H) at the default truncation level
-    _guard_level(args.force, H.k, default_truncation(H.offsets[-1], H.k))
+    _guard(args.force, "k*L", H.k * default_truncation(H.offsets[-1], H.k), MAX_SIEVE_SPAN)
     P = PolynomialSpec.power(H.k, args.r)
     w = build_weights(P, R)
     rows = [
@@ -353,7 +350,7 @@ def _cmd_inequality_scan(args):
     require(args.k_min <= args.k_max and args.m_max >= 1,
             f"empty scan: k {args.k_min}..{args.k_max}, m 1..{args.m_max}")
     work = (args.k_max - args.k_min + 1) * args.m_max * (args.k_max + 2 * args.m_max)
-    _guard(args.force, work <= MAX_SCAN_WORK, f"scan work {work} beyond budget")
+    _guard(args.force, "scan work", work, MAX_SCAN_WORK)
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         for m in range(1, args.m_max + 1):
@@ -376,8 +373,8 @@ def _cmd_inequality_scan(args):
 def _cmd_ap_table(args):
     from .progressions import error_table
 
-    _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
-    _guard(args.force, args.q <= MAX_BV_MODULI, "q beyond budget")
+    _guard(args.force, "x", args.x, MAX_SIEVE_SPAN)
+    _guard(args.force, "q", args.q, MAX_BV_MODULI)
     table = error_table(args.x, args.q)
     rows = [vars(rec) for rec in table.records]
     meta = _meta(args, x=args.x, q=args.q)
@@ -393,8 +390,8 @@ def _cmd_ap_table(args):
 def _cmd_bv_scan(args):
     from .progressions import bv_scan, bv_scans, require_checkpoints
 
-    _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
-    _guard(args.force, args.q_max <= MAX_BV_MODULI, "q_max beyond budget")
+    _guard(args.force, "x", args.x, MAX_SIEVE_SPAN)
+    _guard(args.force, "q_max", args.q_max, MAX_BV_MODULI)
     require_checkpoints(args.x, args.checkpoints)
     if args.sensitivity:
         try:
@@ -434,10 +431,10 @@ def _cmd_bv_scan(args):
 def _cmd_montgomery(args):
     from .progressions import montgomery_ratios
 
-    _guard(args.force, args.x <= MAX_SIEVE_SPAN, "x beyond sieve budget")
+    _guard(args.force, "x", args.x, MAX_SIEVE_SPAN)
     q_hi = args.q_max if args.q_max is not None else args.q_min
     # bounds the moduli count too, since every modulus is at least 1
-    _guard(args.force, q_hi <= MAX_BV_MODULI, "q_max beyond budget")
+    _guard(args.force, "q_max", q_hi, MAX_BV_MODULI)
     ratios = montgomery_ratios(args.x, args.q_min, q_hi, args.eps, args.threads)
     rows = [{"q": q, "ratio": ratio} for q, ratio in ratios.items()]
     best = max(rows, key=lambda row: row["ratio"])

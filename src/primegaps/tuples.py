@@ -264,7 +264,12 @@ def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
                     acc &= seg.odd[s : s + len(acc)]
                 del seg  # freed before the next window is sieved, not after
             actual += int(np.count_nonzero(acc))
-    predicted = ss.value * x / math.log(x) ** H.k
+    try:
+        predicted = ss.value * x / math.log(x) ** H.k if ss.value else 0.0
+    except OverflowError:  # (log x)^k alone passes the float64 range from k = 271 at x = 1e6
+        raise OverflowError(
+            f"Hardy-Littlewood prediction of {H.k} offsets: (log x)^{H.k} beyond the float64 range"
+        ) from None
     return HLCount(actual, predicted)
 
 

@@ -254,45 +254,60 @@ def test_precondition_failure_exits_2_without_partial_output(tmp_path, capsys, m
         assert message in capsys.readouterr().err
 
 
+def assert_refused(err: str, size: int, limit: int) -> None:
+    """The one refusal message names the refused size and its limit."""
+    assert f" {size} beyond the budget of {limit} (pass --force to override)" in err, err
+
+
 def test_guardrail_refuses_oversized_without_force(capsys):
     code = main(["gaps", "--x-hi", "100000000000"])
     assert code == 2
-    assert "--force" in capsys.readouterr().err
+    # the window 3..1e11 plus isqrt(1e11) = 316227 base primes
+    assert_refused(capsys.readouterr().err, 10**11 - 3 + 316227, MAX_SIEVE_SPAN)
     # the gaps budget bounds the window plus the base primes, not x_hi
     assert main(["gaps", "--x-lo", "1e12", "--x-hi", "1000000100000"]) == 0
     capsys.readouterr()
     assert main(["gaps", "--x-lo", "4e18", "--x-hi", "4000000000000000100"]) == 2
-    assert "--force" in capsys.readouterr().err
+    assert_refused(capsys.readouterr().err, 100 + 2 * 10**9, MAX_SIEVE_SPAN)
     # one modulus past the cap is refused before any table is allocated
     q = str(MAX_BV_MODULI + 1)
     for argv in (["ap-table", "--x", "1000", "--q", q],
                  ["montgomery", "--x", "200000", "--q-min", q]):
         assert main(argv) == 2
-        assert "--force" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, MAX_BV_MODULI + 1, MAX_BV_MODULI)
     # the singular-series level L is bounded through k*L, default or given
-    for argv in (["tuple", "--offsets", "0,1,10000000000"],
-                 ["tuple", "--offsets", "0,1", "--L", "1e10"],
-                 ["hl-count", "--offsets", "0,1", "--x", "1000", "--L", "1e10"],
-                 ["gallagher", "--k", "2", "--h", "2", "--L", "1e10"]):
+    for argv, kL in ((["tuple", "--offsets", "0,1,10000000000"], 3 * 10**10),
+                     (["tuple", "--offsets", "0,1", "--L", "1e10"], 2 * 10**10),
+                     (["hl-count", "--offsets", "0,1", "--x", "1000", "--L", "1e10"], 2 * 10**10),
+                     (["gallagher", "--k", "2", "--h", "2", "--L", "1e10"], 2 * 10**10)):
         assert main(argv) == 2
-        assert "--force" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "k*L" in err
+        assert_refused(err, kL, MAX_SIEVE_SPAN)
 
 
-@pytest.mark.parametrize("argv, entry", [
-    (["intervals", "--x", str(MAX_SIEVE_SPAN // 2 + 1), "--n-samples", "10"],
-     "gaps.interval_count_distribution"),
+@pytest.mark.parametrize("argv, entry, size, limit", [
+    # the starts [x, 2x] plus the base primes: x + 1 + isqrt(2x), one past the budget
+    (["intervals", "--x", "1999936756", "--n-samples", "10"],
+     "gaps.interval_count_distribution", MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
     (["intervals", "--x", "1000", "--n-samples", str(MAX_SAMPLES + 1)],
-     "gaps.interval_count_distribution"),
-    (["cramer", "--n-max", str(MAX_CRAMER + 1)], "gaps.cramer_simulate"),
-    (["hl-count", "--offsets", "0,2", "--x", str(MAX_SIEVE_SPAN - 1)], "tuples.hl_count"),
-    (["ap-table", "--x", str(MAX_SIEVE_SPAN + 1), "--q", "12"], "progressions.error_table"),
-    (["bv-scan", "--x", str(MAX_SIEVE_SPAN + 1), "--q-max", "20"], "progressions.bv_scan"),
-    (["bv-scan", "--x", "1e6", "--q-max", str(MAX_BV_MODULI + 1)], "progressions.bv_scan"),
+     "gaps.interval_count_distribution", MAX_SAMPLES + 1, MAX_SAMPLES),
+    (["cramer", "--n-max", str(MAX_CRAMER + 1)], "gaps.cramer_simulate",
+     MAX_CRAMER + 1, MAX_CRAMER),
+    (["hl-count", "--offsets", "0,2", "--x", str(MAX_SIEVE_SPAN - 1)], "tuples.hl_count",
+     MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
+    (["ap-table", "--x", str(MAX_SIEVE_SPAN + 1), "--q", "12"], "progressions.error_table",
+     MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
+    (["bv-scan", "--x", str(MAX_SIEVE_SPAN + 1), "--q-max", "20"], "progressions.bv_scan",
+     MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
+    (["bv-scan", "--x", "1e6", "--q-max", str(MAX_BV_MODULI + 1)], "progressions.bv_scan",
+     MAX_BV_MODULI + 1, MAX_BV_MODULI),
     (["montgomery", "--x", str(MAX_SIEVE_SPAN + 1), "--q-max", "20"],
-     "progressions.montgomery_ratios"),
-], ids=["intervals-2x", "intervals-samples", "cramer", "hl-count-x", "ap-table-x",
+     "progressions.montgomery_ratios", MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
+], ids=["intervals-span", "intervals-samples", "cramer", "hl-count-x", "ap-table-x",
         "bv-scan-x", "bv-scan-q", "montgomery-x"])
-def test_guardrail_refuses_before_work_and_force_reaches_it(argv, entry, monkeypatch, capsys):
+def test_guardrail_refuses_before_work_and_force_reaches_it(argv, entry, size, limit,
+                                                            monkeypatch, capsys):
     # the patch keeps a broken guard from running these sizes for real
     def refuse(*args):
         raise AssertionError("work started past the guardrail")
@@ -300,9 +315,21 @@ def test_guardrail_refuses_before_work_and_force_reaches_it(argv, entry, monkeyp
     monkeypatch.setattr(f"primegaps.{entry}", refuse)
     code, out = run_cli(argv)
     assert code == 2 and out == ""
-    assert "--force" in capsys.readouterr().err
+    assert_refused(capsys.readouterr().err, size, limit)
     with pytest.raises(AssertionError, match="past the guardrail"):
         main([*argv, "--force"])
+
+
+def test_intervals_guard_counts_the_span_it_sieves(monkeypatch):
+    # intervals sieves [x, 2x] and the base primes up to sqrt(2x), not 2x:
+    # 1e9 + 1 (which 2x refused) and the last x within budget reach the sampler
+    def refuse(*args):
+        raise AssertionError("sampler reached")
+
+    monkeypatch.setattr("primegaps.gaps.interval_count_distribution", refuse)
+    for x in ("1000000001", "1999936755"):
+        with pytest.raises(AssertionError, match="sampler reached"):
+            main(["intervals", "--x", x, "--n-samples", "10"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,7 +366,9 @@ def test_gpy_experiment_bounds_degree_before_building_polynomial(monkeypatch, ca
     monkeypatch.setattr("primegaps.gpy.build_weights", refuse)
     argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e4", "--r", "1e8"]
     assert main(argv) == 2
-    assert "degree k+r 100000002 beyond budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "degree k+r" in err
+    assert_refused(err, 100000002, 1000)
     assert main(["gpy-experiment", "--offsets", "0", "--x", "1e4", "--r", "1000"]) == 2
     with pytest.raises(AssertionError, match="degree check"):   # --force reaches the build
         main([*argv, "--force"])
@@ -354,7 +383,8 @@ def test_gpy_experiment_bounds_profile_before_building_weights(monkeypatch, caps
     argv = ["gpy-experiment", "--offsets", "0,2", "--x", "1e9"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "weight profile of 1000000001 entries" in err and "--force" in err
+    assert "weight profile entries" in err
+    assert_refused(err, 1000000001, 250000000)
     assert main(["gpy-experiment", "--offsets", "0,2", "--x", "250000000"]) == 2
     # the largest x within budget, and --force, reach the (refusing) builder
     for accepted in (["gpy-experiment", "--offsets", "0,2", "--x", "249999999"],
@@ -372,7 +402,8 @@ def test_gpy_experiment_bounds_series_level_before_building_weights(monkeypatch,
     argv = ["gpy-experiment", "--offsets", "0,10000000000", "--x", "1e4"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "k*L" in err and "--force" in err
+    assert "k*L" in err
+    assert_refused(err, 2 * 10**10, MAX_SIEVE_SPAN)
     with pytest.raises(AssertionError, match="level check"):
         main([*argv, "--force"])
 
@@ -390,7 +421,9 @@ def test_inequality_scan_bounds_work_before_any_row(monkeypatch, capsys):
     monkeypatch.setattr("primegaps.polys.unfortunate_inequality", refuse)
     argv = ["inequality-scan", "--k-max", "1000", "--m-max", "300"]
     assert main(argv) == 2
-    assert "scan work 479520000 beyond budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "scan work" in err
+    assert_refused(err, 479520000, 1000000)
     # 999 rows of k + 2m = 1002, one past the budget
     assert main(["inequality-scan", "--k-max", "1000", "--m-max", "1"]) == 2
     with pytest.raises(AssertionError, match="work check"):
@@ -449,16 +482,24 @@ def test_gallagher_subset_cap_exits_2_before_any_work(monkeypatch, capsys):
         raise AssertionError("subsets averaged past the guardrail")
 
     monkeypatch.setattr("primegaps.tuples.gallagher_average", refuse)
+    # the kernel evaluates binomial(h - 1, k - 1) translates; the count stops
+    # at binomial(4994, 2) = 12467521, a lower bound for binomial(4999, 7)
     argv = ["gallagher", "--k", "8", "--h", "5000", "--L", "10000"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{SUBSET_BUDGET} subset budget" in err and "--force" in err
+    assert "binomial(4999, 7) translates, at least" in err
+    assert_refused(err, 12467521, SUBSET_BUDGET)
     with pytest.raises(AssertionError, match="past the guardrail"):
         main([*argv, "--force"])
-    # the cap sits between binomial(31, 8) = 7888725 and binomial(32, 8) = 10518300
-    assert main(["gallagher", "--k", "8", "--h", "32"]) == 2
-    with pytest.raises(AssertionError, match="past the guardrail"):
-        main(["gallagher", "--k", "8", "--h", "31"])
+    # the cap sits between binomial(36, 7) = 8347680 and binomial(37, 7) = 10295472
+    assert main(["gallagher", "--k", "8", "--h", "38"]) == 2
+    err = capsys.readouterr().err
+    assert "binomial(37, 7) translates 10295472" in err
+    assert_refused(err, 10295472, SUBSET_BUDGET)
+    # 4999 translates of k = 2 run in well under a second
+    for accepted in (["--k", "8", "--h", "37"], ["--k", "2", "--h", "5000"]):
+        with pytest.raises(AssertionError, match="past the guardrail"):
+            main(["gallagher", *accepted])
 
 
 def test_hl_count_checks_L_before_sieving(monkeypatch, capsys):
@@ -606,6 +647,20 @@ def test_singular_series_past_float64_exits_1_without_output():
     assert proc.stdout == ""
     assert proc.stderr.startswith("primegaps: runtime failure: singular series")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_hl_count_prediction_past_float64_exits_1_without_output():
+    # the first 300 primes above 300, shifted to start at 0: S(H) is finite,
+    # but (log 1e6)^300 is beyond the float64 range
+    from primegaps.sieve import primes_between
+
+    ps = primes_between(301, 5000)[:300]
+    offsets = ",".join(map(str, ps - ps[0]))
+    proc = run_cli_process(["hl-count", "--offsets", offsets, "--x", "1e6"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "primegaps: runtime failure: Hardy-Littlewood prediction of 300 offsets")
 
 
 def test_unwritable_out_exits_1_without_temporary_file(tmp_path, capsys):

@@ -214,6 +214,9 @@ def test_hl_count_inadmissible():
     res = hl_count(OffsetTuple((0, 1)), 100)
     assert res.actual == 1          # only n = 2 gives the pair 2, 3
     assert res.predicted == 0.0
+    # S(H) = 0 gives a prediction of 0 even where (log x)^k is beyond float64
+    res = hl_count(OffsetTuple(tuple(range(0, 600, 2))), 10**6)
+    assert res == (0, 0.0)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64, 1018, 1019])
