@@ -118,16 +118,18 @@ def emit(columns, rows, meta, fmt: str, path: str | None) -> None:
         return
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".primegaps-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".primegaps-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -251,10 +253,12 @@ def _cmd_tuple(args):
 
 
 def _cmd_hl_count(args):
-    from .tuples import OffsetTuple, default_truncation, hl_count
+    from .tuples import OffsetTuple, default_truncation, hl_count, offset_groups
 
     H = OffsetTuple.parse(args.offsets)
-    _guard(args.force, "x + h_k", args.x + H.offsets[-1], MAX_SIEVE_SPAN)
+    g = len(offset_groups(H))  # hl_count streams x + h_k integers per group
+    _guard(args.force, f"{g} offset group(s) * (x + h_k)", g * (args.x + H.offsets[-1]),
+           MAX_SIEVE_SPAN)
     L = args.L if args.L is not None else default_truncation(H.offsets[-1], H.k)
     _guard(args.force, "k*L", H.k * L, MAX_SIEVE_SPAN)
     res = hl_count(H, args.x, L)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, require
+from .errors import require
 from .sieve import SieveSegment, iter_windows, next_prime, primes_upto
 
 # Reference constants for the limsup of gap/(log p)^2: the random model
@@ -349,7 +349,7 @@ class LongGapReport:
     observed_run_over_log_sq scales the observed run like the limsup
     statistic gap/(log p)^2, with p = run_start.  rankin_bound_at_N
     evaluates the record lower-bound expression at N (NaN when
-    the iterated logs are undefined); the limsup constants are the
+    an iterated log is not positive); the limsup constants are the
     reference values for gap/(log p)^2.
     """
 
@@ -390,10 +390,12 @@ def long_gap_construct(kind: str, m: int) -> LongGapReport:
     run_start = N + 2
     q = next_prime(N + 1)
     observed = q - run_start
-    try:
-        rb = rankin_bound(float(N))
-    except PreconditionError:
-        rb = math.nan
+    # the record lower bound l1 l2 l4 / l3^2, with li the i-times iterated
+    # log of N; NaN unless all four are positive, which needs N > e^(e^e)
+    l1 = math.log(float(N))  # positive, as N >= 2
+    l2 = math.log(l1)
+    l3 = math.log(l2) if l2 > 0 else math.nan
+    l4 = math.log(l3) if l3 > 1 else math.nan
     return LongGapReport(
         construction=kind,
         m=m,
@@ -402,21 +404,6 @@ def long_gap_construct(kind: str, m: int) -> LongGapReport:
         guaranteed_run=m - 1,
         observed_run=observed,
         observed_run_over_log_sq=observed / math.log(run_start) ** 2,
-        rankin_bound_at_N=rb,
+        rankin_bound_at_N=l1 * l2 * l4 / (l3 * l3),
     )
 
-
-def rankin_bound(p: float) -> float:
-    """The record long-gap lower bound
-
-        log p * (log log p) * (log log log log p) / (log log log p)^2,
-
-    valid once all four iterated logs are positive (p > e^(e^e))."""
-    require(p > 1, "p must exceed 1")
-    l1 = math.log(p)
-    l2 = math.log(l1) if l1 > 0 else math.nan
-    l3 = math.log(l2) if l2 > 0 else math.nan
-    require(not math.isnan(l3) and l3 > 0, "iterated logs undefined: need p > e^(e^e)")
-    l4 = math.log(l3)
-    require(l4 > 0, "iterated logs not positive: need p > e^(e^e)")
-    return l1 * l2 * l4 / (l3 * l3)

@@ -81,10 +81,6 @@ class WeightScheme:
     lam: dict[int, float]
     P: PolynomialSpec
 
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.lam)
-
 
 def build_weights(P: PolynomialSpec, R: int) -> WeightScheme:
     """Populate lambda_d = mu(d) P(log(R/d)/log R) for squarefree d <= R.
@@ -154,7 +150,7 @@ def _weight_profile(w: WeightScheme, H: OffsetTuple, x: int) -> Iterator[np.ndar
     # lambda_1 is lambda_1, so each block starts out filled with it
     adds = [
         (d, w.lam[d], (r - x) % d)
-        for d in w.support[1:]
+        for d in sorted(w.lam)[1:]
         for r in _divisor_residues(d, H).tolist()
     ]
     for lo in range(0, x + 1, _PROFILE_BLOCK):

@@ -233,7 +233,6 @@ class BVScanResult:
     zero at desk scale and are included for orientation only.
     """
 
-    checkpoints: tuple[float, ...]
     per_q: dict[int, float]
     argmax_y: dict[int, float]
     total: float
@@ -306,7 +305,6 @@ def bv_scans(x: int, Q_max: int, grid_sizes, threads: int = 1) -> list[BVScanRes
         per_q = {q: m[i][0] for q, m in found.items()}
         total = math.fsum(per_q.values())
         results.append(BVScanResult(
-            checkpoints=tuple(float(y) for y in cps[s:]),
             per_q=per_q,
             argmax_y={q: m[i][1] for q, m in found.items()},
             total=total,

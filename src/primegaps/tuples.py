@@ -228,6 +228,18 @@ class HLCount(NamedTuple):
     predicted: float
 
 
+def offset_groups(H: OffsetTuple) -> list[list[int]]:
+    """H's offsets in ascending groups, each within half a sieve window of
+    its first: hl_count streams x + h_k integers once per group."""
+    groups = []
+    for h in H.offsets:
+        if groups and h - groups[-1][0] <= sieve.SEGMENT_SIZE // 2:
+            groups[-1].append(h)
+        else:
+            groups.append([h])
+    return groups
+
+
 def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     """Exact count of n <= x with every n + h_j prime, next to the
     Hardy-Littlewood prediction S(H) x / (log x)^k.
@@ -245,12 +257,7 @@ def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     first, *rest = H.offsets
     actual = sum(all(is_prime(n + h) for h in H.offsets) for n in (1, 2))
     if all(h % 2 == first % 2 for h in rest):
-        groups = []
-        for h in H.offsets:
-            if groups and h - groups[-1][0] <= sieve.SEGMENT_SIZE // 2:
-                groups[-1].append(h)
-            else:
-                groups.append([h])
+        groups = offset_groups(H)
         reach = max(g[-1] - g[0] for g in groups)
         shifts = [[(h - g[0]) // 2 for h in g] for g in groups]
         streams = [iter_windows(3 + g[0], x + g[0] + 1, reach) for g in groups]

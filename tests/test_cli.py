@@ -296,6 +296,9 @@ def test_guardrail_refuses_oversized_without_force(capsys):
      MAX_CRAMER + 1, MAX_CRAMER),
     (["hl-count", "--offsets", "0,2", "--x", str(MAX_SIEVE_SPAN - 1)], "tuples.hl_count",
      MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
+    # three offset groups, each streaming x + h_k = 704,800,000 integers
+    (["hl-count", "--offsets", "0,2400000,4800000", "--x", "7e8"], "tuples.hl_count",
+     3 * 704_800_000, MAX_SIEVE_SPAN),
     (["ap-table", "--x", str(MAX_SIEVE_SPAN + 1), "--q", "12"], "progressions.error_table",
      MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
     (["bv-scan", "--x", str(MAX_SIEVE_SPAN + 1), "--q-max", "20"], "progressions.bv_scan",
@@ -304,8 +307,8 @@ def test_guardrail_refuses_oversized_without_force(capsys):
      MAX_BV_MODULI + 1, MAX_BV_MODULI),
     (["montgomery", "--x", str(MAX_SIEVE_SPAN + 1), "--q-max", "20"],
      "progressions.montgomery_ratios", MAX_SIEVE_SPAN + 1, MAX_SIEVE_SPAN),
-], ids=["intervals-span", "intervals-samples", "cramer", "hl-count-x", "ap-table-x",
-        "bv-scan-x", "bv-scan-q", "montgomery-x"])
+], ids=["intervals-span", "intervals-samples", "cramer", "hl-count-x", "hl-count-groups",
+        "ap-table-x", "bv-scan-x", "bv-scan-q", "montgomery-x"])
 def test_guardrail_refuses_before_work_and_force_reaches_it(argv, entry, size, limit,
                                                             monkeypatch, capsys):
     # the patch keeps a broken guard from running these sizes for real
@@ -663,15 +666,22 @@ def test_hl_count_prediction_past_float64_exits_1_without_output():
         "primegaps: runtime failure: Hardy-Littlewood prediction of 300 offsets")
 
 
-def test_unwritable_out_exits_1_without_temporary_file(tmp_path, capsys):
+def test_unwritable_out_exits_1_without_temporary_file(tmp_path, monkeypatch, capsys):
     # a missing directory fails before the temporary file exists, an
-    # existing directory as the target only when it is renamed into place
+    # existing directory as the target only when it is renamed into place;
+    # either way the message names the path asked for, a relative one as
+    # resolved, not the temporary file beside it
     (tmp_path / "taken").mkdir()
-    for out in (tmp_path / "missing" / "run.csv", tmp_path / "taken"):
-        code, stdout = run_cli(["longgap", "--kind", "factorial", "--m", "5", "--out", str(out)])
+    monkeypatch.setenv("PRIMEGAPS_OUTDIR", str(tmp_path))
+    for out, named in ((str(tmp_path / "missing" / "run.csv"), tmp_path / "missing" / "run.csv"),
+                       (str(tmp_path / "taken"), tmp_path / "taken"),
+                       ("taken", tmp_path / "taken")):
+        code, stdout = run_cli(["longgap", "--kind", "factorial", "--m", "5", "--out", out])
         assert code == 1
         assert stdout == ""
-        assert "runtime failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("primegaps: runtime failure: ")
+        assert err.endswith(f": {str(named)!r}\n"), err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list((tmp_path / "taken").iterdir()) == []
 

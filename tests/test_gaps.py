@@ -16,7 +16,6 @@ from primegaps.gaps import (
     interval_count_distribution,
     long_gap_construct,
     poisson_unit_pmf,
-    rankin_bound,
 )
 from primegaps.sieve import next_prime, primes_between
 from primegaps.gaps import interval_counts_from_indicator, make_rng
@@ -479,26 +478,34 @@ def test_limsup_reference_constants():
 # ---------------------------------------------------------------------------
 # record long-gap bound expression
 
+def _rankin(kind, m):
+    return long_gap_construct(kind, m).rankin_bound_at_N
+
+
 def test_rankin_two_evaluation_orders():
-    p = 10**9
-    direct = rankin_bound(p)
-    l1 = math.log(p)
-    l2 = math.log(l1)
-    l3 = math.log(l2)
-    l4 = math.log(l3)
-    regrouped = l4 * ((l1 / l3) * (l2 / l3))
-    assert direct == pytest.approx(regrouped, rel=1e-12)
+    for m in range(11, 21):
+        l1 = math.log(float(math.factorial(m)))
+        l2 = math.log(l1)
+        l3 = math.log(l2)
+        l4 = math.log(l3)
+        regrouped = l4 * ((l1 / l3) * (l2 / l3))
+        assert _rankin("factorial", m) == pytest.approx(regrouped, rel=1e-12)
 
 
 def test_rankin_monotone_in_p():
-    points = [math.exp(t) for t in np.linspace(16, 40, 25)]
-    values = [rankin_bound(p) for p in points]
-    assert all(a < b for a, b in zip(values, values[1:]))
+    for kind, ms in (("factorial", range(11, 21)), ("primorial", [19, 23, 29, 31, 37, 41, 43, 47])):
+        values = [_rankin(kind, m) for m in ms]
+        assert all(a < b for a, b in zip(values, values[1:]))
+    # a composite m adds no prime to the primorial, and so nothing to N
+    assert _rankin("primorial", 52) == _rankin("primorial", 47)
 
 
 def test_rankin_domain():
-    with pytest.raises(PreconditionError):
-        rankin_bound(100.0)
-    with pytest.raises(PreconditionError):
-        rankin_bound(math.exp(math.exp(math.e)) * 0.9)
-    rankin_bound(math.exp(math.exp(math.e)) * 1.1)
+    # every iterated log is positive only for N > e^(e^e), about 3.81e6
+    assert 10**6 * 3.8 < math.exp(math.exp(math.e)) < 10**6 * 3.82
+    for m in range(2, 11):  # 10! = 3628800
+        assert math.isnan(_rankin("factorial", m))
+    for m in range(2, 19):  # primorial(17) = 510510
+        assert math.isnan(_rankin("primorial", m))
+    assert math.isfinite(_rankin("factorial", 11)) and _rankin("factorial", 11) > 0
+    assert math.isfinite(_rankin("primorial", 19)) and _rankin("primorial", 19) > 0

@@ -226,7 +226,7 @@ def test_weight_profile_squares_equal_detector(offsets, r, R, x):
 def unblocked_profile(w, H, x):
     """Reference profile: one strided add over all of [x, 2x] per (d, r)."""
     S = np.zeros(x + 1, dtype=np.float64)
-    for d in w.support:
+    for d in sorted(w.lam):
         for r in _divisor_residues(d, H).tolist():
             S[(r - x) % d :: d] += w.lam[d]
     return S

@@ -184,7 +184,7 @@ def test_bv_checkpoint_grid():
 def test_bv_scan_q1_reduction():
     res = bv_scan(10**4, 1, 16)
     expected = max(
-        abs(prime_count(int(y)) - log_integral(y)) for y in res.checkpoints
+        abs(prime_count(int(y)) - log_integral(y)) for y in bv_checkpoints(10**4, 16).tolist()
     )
     assert res.total == pytest.approx(expected)
     assert res.per_q[1] == res.total
@@ -207,7 +207,7 @@ def test_bv_scan_counts_cross_check():
     for q in range(1, 13):
         phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
         best, best_y = -1.0, None
-        for y in res.checkpoints:
+        for y in bv_checkpoints(10**4, 8).tolist():
             li_y = log_integral(y)
             err = max(
                 abs(pi_ap(int(y), q, a) - li_y / phi)
