@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -94,27 +93,34 @@ def _json_clean(v):
     return v
 
 
-def render(columns, rows, meta, fmt: str) -> str:
+def render(columns, rows, meta, fmt: str, out) -> None:
+    """Write the table to the text stream out as it is encoded.
+
+    No copy of the whole output is held: CSV goes out a row at a time, and
+    JSON a token at a time, with each row of the list rows replaced by its
+    cleaned copy in place.  The JSON bytes are json.dumps(payload, indent=2)
+    and a newline, since indent already selects the pure-Python encoder."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow(fmt_value(row.get(c)) for c in columns)
-        return buf.getvalue()
-    payload = {"meta": _json_clean(meta), "rows": _json_clean(rows)}
-    return json.dumps(payload, indent=2) + "\n"
+        return
+    for i, row in enumerate(rows):
+        rows[i] = _json_clean(row)
+    payload = {"meta": _json_clean(meta), "rows": rows}
+    out.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+    out.write("\n")
 
 
 def emit(columns, rows, meta, fmt: str, path: str | None) -> None:
     """Write the table to path (atomically) or standard output.
 
-    Output goes to a temporary file first and is renamed into place only
-    on success, so a failed run never leaves partial output behind.
+    Output to a path goes to a temporary file first and is renamed into
+    place only on success, so a failed run never leaves partial output there.
     """
-    text = render(columns, rows, meta, fmt)
     if path is None:
-        sys.stdout.write(text)
+        render(columns, rows, meta, fmt, sys.stdout)
         return
     import tempfile
 
@@ -123,7 +129,7 @@ def emit(columns, rows, meta, fmt: str, path: str | None) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".primegaps-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            render(columns, rows, meta, fmt, fh)
         os.replace(tmp, path)
     except OSError as exc:  # name the path asked for, not the temporary file
         raise OSError(exc.errno, exc.strerror, path) from None

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache, partial
@@ -149,17 +151,68 @@ def _fold_chain(primes: np.ndarray, ends, q_lo: int, measure, top: int) -> list:
     return measured
 
 
-# the chain function of the scan a forked worker serves, set in the worker
-_worker_chain = None
+def _forked_chains(chain, tops: range, workers: int) -> list:
+    """The pairs of chain(top) for every top, from `workers` forked children.
 
-
-def _start_worker(chain) -> None:
-    global _worker_chain
-    _worker_chain = chain
-
-
-def _run_worker_chain(top: int) -> list:
-    return _worker_chain(top)
+    Child w walks tops[w::workers] and pickles its pairs, or the exception
+    it raised, up its own pipe, then exits.  The parent reads each pipe to
+    EOF and raises a child's exception as its own.  Every child is reaped
+    before this returns or raises; if the parent raises or is interrupted
+    first, the children still running are killed."""
+    pids, pipes = [], {}  # every child forked, and the read end of each unread pipe
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                # os._exit, never a return or raise: the child must not run
+                # the caller's code, flush its buffers or its exit handlers
+                status = 1
+                try:
+                    for fd in (read_end, *pipes.values()):
+                        os.close(fd)
+                    # pickled whole before a byte is sent, so that a value
+                    # that cannot be pickled sends its error, not half a pickle
+                    try:
+                        sent = pickle.dumps(
+                            (True, [pair for top in tops[w::workers] for pair in chain(top)]))
+                    except Exception as exc:
+                        sent = pickle.dumps((False, exc))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(sent)
+                    status = 0
+                finally:
+                    os._exit(status)
+            # closed here, so that no later child inherits it and the pipe
+            # reaches EOF when its own child exits
+            os.close(write_end)
+            pids.append(pid)
+            pipes[pid] = read_end
+        pairs = []
+        for pid in pids:
+            with open(pipes.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"scan worker {pid} ended without a result")
+            ok, value = pickle.loads(data)  # written by a child of this process
+            if not ok:
+                raise value
+            pairs += value
+        return pairs
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours
+        raise
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _scan(primes: np.ndarray, ends, q_lo: int, q_hi: int, measure, threads: int = 1) -> dict:
@@ -169,33 +222,23 @@ def _scan(primes: np.ndarray, ends, q_lo: int, q_hi: int, measure, threads: int 
     The primes are reduced only mod the tops q_hi, q_hi - 1, ... down to
     max(q_hi // 2, q_lo - 1) + 1; every smaller modulus is top / 2^k for
     exactly one top, and is measured on that top's fold chain.  The chains
-    are walked on min(threads, cpu count, tops) worker processes forked
-    from this one: each inherits the primes, ends and measure, so none of
-    them is pickled and no count matrix crosses a pipe, only the measures.
-    One worker, or a platform without fork, walks them in this process.
-    Every pool is joined before _scan returns or raises, and the result
-    does not depend on threads.
+    are walked by min(threads, cpu count, tops) children forked from this
+    process, which only collects: each inherits the primes, ends and
+    measure, so none of them is pickled and no count matrix crosses a pipe,
+    only the measures.  The children call no BLAS, so the idle BLAS threads
+    numpy may hold in this process cannot stall them.  One worker, or a
+    platform without fork, walks the chains in this process.  No child
+    outlives _scan, and the result does not depend on threads.
     """
     require(threads >= 1, "threads must be at least 1")
     tops = range(q_hi, max(q_hi // 2, q_lo - 1), -1)
     workers = min(threads, os.cpu_count() or 1, len(tops))
     chain = partial(_fold_chain, primes, ends, q_lo, measure)
-    chains = None
-    if workers > 1:
-        # imported here, not with the module: only the scans need it, and it
-        # would add its import time to the start-up of every subcommand
-        import multiprocessing
-
-        # fork, not the platform default: spawn and forkserver would pickle
-        # the prime table to every worker.  The workers call no BLAS, so the
-        # idle BLAS threads numpy may hold in this process cannot stall them
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-            with fork.Pool(workers, _start_worker, (chain,)) as pool:
-                chains = pool.map(_run_worker_chain, tops)
-    if chains is None:
-        chains = map(chain, tops)
-    return dict(sorted(pair for measured in chains for pair in measured))
+    if workers > 1 and hasattr(os, "fork"):
+        pairs = _forked_chains(chain, tops, workers)
+    else:
+        pairs = [pair for top in tops for pair in chain(top)]
+    return dict(sorted(pairs))
 
 
 def error_table(x: int, q: int) -> ErrorTable:

@@ -230,7 +230,13 @@ class HLCount(NamedTuple):
 
 def offset_groups(H: OffsetTuple) -> list[list[int]]:
     """H's offsets in ascending groups, each within half a sieve window of
-    its first: hl_count streams x + h_k integers once per group."""
+    its first: hl_count streams x + h_k integers once per group.
+
+    A tuple of mixed parity has no groups: past n = 2 some n + h_j is even,
+    so hl_count streams nothing for it."""
+    first, *rest = H.offsets
+    if any(h % 2 != first % 2 for h in rest):
+        return []
     groups = []
     for h in H.offsets:
         if groups and h - groups[-1][0] <= sieve.SEGMENT_SIZE // 2:
@@ -254,10 +260,9 @@ def hl_count(H: OffsetTuple, x: int, L: int | None = None) -> HLCount:
     require(x >= 3, "x must be at least 3")
     # the series checks L before any window is sieved
     ss = singular_series(H, L)
-    first, *rest = H.offsets
     actual = sum(all(is_prime(n + h) for h in H.offsets) for n in (1, 2))
-    if all(h % 2 == first % 2 for h in rest):
-        groups = offset_groups(H)
+    groups = offset_groups(H)
+    if groups:
         reach = max(g[-1] - g[0] for g in groups)
         shifts = [[(h - g[0]) // 2 for h in g] for g in groups]
         streams = [iter_windows(3 + g[0], x + g[0] + 1, reach) for g in groups]

@@ -152,6 +152,32 @@ def sieve_window(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the forked workers of the progression scans
+
+@pytest.fixture
+def two_recorded_cores(monkeypatch):
+    """Two cores, and the pid of every child forked since, in order; each
+    fork is real."""
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        forked.append(fork())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_no_child():
+    """This process has no child, running or unreaped (plain forks are
+    invisible to multiprocessing.active_children)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# ---------------------------------------------------------------------------
 # peak memory of one CLI command in a fresh process
 
 # A child's ru_maxrss starts at the high-water mark of the process that

@@ -1,9 +1,9 @@
 import contextlib
+import copy
 import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,11 +12,11 @@ import pytest
 
 from primegaps import progressions
 from primegaps.cli import (
-    MAX_BV_MODULI, MAX_CRAMER, MAX_SAMPLES, MAX_SIEVE_SPAN, SUBSET_BUDGET, build_parser,
-    emit, main, parse_exact_int,
+    MAX_BV_MODULI, MAX_CRAMER, MAX_SAMPLES, MAX_SIEVE_SPAN, SUBSET_BUDGET, _json_clean,
+    build_parser, emit, fmt_value, main, parse_exact_int, render,
 )
 
-from conftest import package_env, peak_rss_kib
+from conftest import assert_no_child, package_env, peak_rss_kib
 
 ALL_SUBCOMMANDS = [
     "gaps", "intervals", "cramer", "longgap", "tuple", "hl-count", "gallagher",
@@ -119,59 +119,50 @@ def test_threads_below_one_exits_2_on_every_subcommand(threads, capsys):
         assert "invalid arguments: --threads must be at least 1" in captured.err, cmd
 
 
-def _recording_pool(monkeypatch):
-    """Replace the scan's forked process pool by one that records the number
-    of processes it is asked for and walks each chain at once, in this
-    process, so that a large patched core count starts no process."""
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, processes, initializer, initargs):
-            asked.append(processes)
-            (self.chain,) = initargs
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tops):
-            return [self.chain(top) for top in tops]
-
-    class RecordingContext:
-        Pool = RecordingPool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
-    return asked
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the scans walk every chain in-process without fork")
-def test_process_pool_bounded_by_tops_and_cores(monkeypatch):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the scans walk every chain in-process")
+def test_scan_workers_bounded_by_tops_and_cores(two_recorded_cores, monkeypatch):
     serial_montgomery = run_cli(["montgomery", "--x", "5000", "--q-min", "5", "--q-max", "5"])
     serial_bv = run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "1"])
     serial_sensitivity = run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--checkpoints", "8",
                                   "--sensitivity", "--threads", "1"])
-    asked = _recording_pool(monkeypatch)
-    # one modulus is one top, walked in this process: no pool is started
-    assert run_cli(["montgomery", "--x", "5000", "--q-min", "5", "--q-max", "5",
-                    "--threads", "10000"]) == serial_montgomery
-    assert asked == []
-    # q in (10, 20] are the tops of q <= 20; a single core walks them in this process
+    asked = []
+
+    def recording_chains(chain, tops, workers):
+        # records the workers asked for and walks every chain in this
+        # process, so that a large patched core count forks nothing
+        asked.append(workers)
+        return [pair for top in tops for pair in chain(top)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(progressions, "_forked_chains", recording_chains)
+        # one modulus is one top, walked in this process: no child is forked
+        assert run_cli(["montgomery", "--x", "5000", "--q-min", "5", "--q-max", "5",
+                        "--threads", "10000"]) == serial_montgomery
+        assert asked == []
+        # q in (10, 20] are the tops of q <= 20; two cores bound the workers
+        assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "10000"]) == serial_bv
+        assert asked == [2]
+        # with cores to spare, the tops bound the workers of every scan, and
+        # --sensitivity scans once
+        patch.setattr(os, "cpu_count", lambda: 64)
+        asked.clear()
+        assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--checkpoints", "8",
+                        "--sensitivity", "--threads", "10000"]) == serial_sensitivity
+        assert asked == [10]
+        asked.clear()
+        assert run_cli(["montgomery", *FAST_ARGS["montgomery"], "--threads", "10000"])[0] == 0
+        assert asked == [6]
+        # one core walks the chains in this process
+        patch.setattr(os, "cpu_count", lambda: 1)
+        asked.clear()
+        assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "10000"]) == serial_bv
+        assert asked == []
+    assert two_recorded_cores == []
+    # for real: two cores fork two children, whatever --threads asks, and
+    # reap both
     assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--threads", "10000"]) == serial_bv
-    cores = min(os.cpu_count() or 1, 10)
-    assert asked == ([cores] if cores > 1 else [])
-    # with cores to spare, the tops bound the pool of every scan, and
-    # --sensitivity scans once
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    asked.clear()
-    assert run_cli(["bv-scan", "--x", "2000", "--q-max", "20", "--checkpoints", "8",
-                    "--sensitivity", "--threads", "10000"]) == serial_sensitivity
-    assert asked == [10]
-    asked.clear()
-    assert run_cli(["montgomery", *FAST_ARGS["montgomery"], "--threads", "10000"])[0] == 0
-    assert asked == [6]
+    assert len(two_recorded_cores) == 2 and os.getpid() not in two_recorded_cores
+    assert_no_child()
 
 
 def test_gpy_ratio_headline():
@@ -321,6 +312,23 @@ def test_guardrail_refuses_before_work_and_force_reaches_it(argv, entry, size, l
     assert_refused(capsys.readouterr().err, size, limit)
     with pytest.raises(AssertionError, match="past the guardrail"):
         main([*argv, "--force"])
+
+
+def test_hl_count_guard_counts_no_group_for_mixed_parity(monkeypatch, capsys):
+    # past n = 2 some n + h_j of 0,1 is even, so hl_count sieves nothing and
+    # the guard counts 0 groups; 0,2 still streams x + h_k integers
+    code, out = run_cli(["hl-count", "--offsets", "0,1", "--x", "3e9", "--format", "json"])
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert (row["actual"], row["predicted"], row["ratio"]) == (1, 0.0, None)
+
+    def refuse(*args):
+        raise AssertionError("work started past the guardrail")
+
+    monkeypatch.setattr("primegaps.tuples.hl_count", refuse)
+    code, out = run_cli(["hl-count", "--offsets", "0,2", "--x", "3e9"])
+    assert code == 2 and out == ""
+    assert_refused(capsys.readouterr().err, 3_000_000_002, MAX_SIEVE_SPAN)
 
 
 def test_intervals_guard_counts_the_span_it_sieves(monkeypatch):
@@ -815,12 +823,82 @@ def test_emit_quotes_embedded_commas(tmp_path):
 
 
 def test_emit_real_formatting():
-    buf_cols = ["v"]
-    rows = [{"v": 0.6321205588285577}]
-    from primegaps.cli import render
+    buf = io.StringIO()
+    render(["v"], [{"v": 0.6321205588285577}], {}, "csv", buf)
+    assert buf.getvalue() == "v\n0.632120558829\n"
 
-    text = render(buf_cols, rows, {}, "csv")
-    assert text == "v\n0.632120558829\n"
+
+def whole_string_rendering(columns, rows, meta, fmt: str) -> str:
+    """The output as one string, built the way render built it before it
+    streamed: the referee of the streamed bytes."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(fmt_value(row.get(c)) for c in columns)
+        return buf.getvalue()
+    payload = {"meta": _json_clean(meta), "rows": _json_clean(rows)}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_output_equals_whole_string(fmt, tmp_path):
+    columns = ["offsets", "value", "flag", "n"]
+    rows = [
+        {"offsets": "0,2,6", "value": math.nan, "flag": True, "n": 0},
+        {"offsets": 'say "0, 2"', "value": math.inf, "flag": False, "n": 2**70},
+        {"offsets": "", "value": -math.inf, "flag": None, "n": -1},
+        {"offsets": "0", "value": 0.6321205588285577, "n": 3},  # "flag" missing
+        {"offsets": "0,2", "value": 1e-300, "flag": True, "n": None},
+    ]
+    meta = {"subcommand": "x", "nan": math.nan, "list": [math.inf, 1 / 3, None, (2, 0.1)],
+            "nested": {"neg": -math.inf, "ok": False}}
+    expected = whole_string_rendering(columns, rows, meta, fmt)
+    buf = io.StringIO()
+    render(columns, copy.deepcopy(rows), meta, fmt, buf)
+    assert buf.getvalue() == expected
+    path = tmp_path / f"out.{fmt}"
+    emit(columns, copy.deepcopy(rows), meta, fmt, str(path))
+    assert path.read_bytes() == expected.encode()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        emit(columns, copy.deepcopy(rows), meta, fmt, None)
+    assert stdout.getvalue() == expected
+
+
+RENDER_PEAK_DRIVER = """
+import json, os, resource
+from primegaps.cli import render
+columns = ["q", "max_abs_error", "checkpoint_argmax_y"]
+rows = [{"q": q, "max_abs_error": q / 7, "checkpoint_argmax_y": q * 1.5} for q in range(20_000)]
+meta = {"subcommand": "synthetic", "total": 1.5}
+with open(os.devnull, "w") as out:
+    render(columns, rows[:10], meta, "json", out)
+size = len(json.dumps({"meta": meta, "rows": rows}, indent=2)) + 1
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open(os.devnull, "w") as out:
+    render(columns, rows, meta, "json", out)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, size)
+"""
+
+
+def test_json_render_holds_less_than_its_output():
+    # the whole-string render held about 7-10 times the output; the stream
+    # holds a token at a time, and each row's cleaned copy in place of it
+    proc = subprocess.run([sys.executable, "-c", RENDER_PEAK_DRIVER], capture_output=True,
+                          text=True, env=package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth_kib, size = map(int, proc.stdout.split())
+    assert size > 2_000_000
+    assert growth_kib * 1024 < size
+
+
+def test_out_leaves_no_file_when_rendering_fails(tmp_path):
+    # the meta and the first row are written before the second row fails
+    with pytest.raises(TypeError):
+        emit(["v"], [{"v": 1}, {"v": object()}], {}, "json", str(tmp_path / "t.json"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point_subprocess():

@@ -20,11 +20,13 @@ EXPORTS = {
 
 
 def loaded_after(code: str, blocked=()) -> set:
-    """Names of the numpy and mpmath modules a fresh interpreter holds after
-    code, run with each module named in blocked made unimportable first."""
+    """Names of the numpy, mpmath and multiprocessing modules a fresh
+    interpreter holds after code, run with each module named in blocked made
+    unimportable first."""
     block = "".join(f"sys.modules[{name!r}] = None\n" for name in blocked)
     probe = (f"import sys\n{block}{code}\n"
-             "print(*{'numpy', 'mpmath'} & {n for n, m in sys.modules.items() if m is not None})")
+             "print(*{'numpy', 'mpmath', 'multiprocessing'}"
+             " & {n for n, m in sys.modules.items() if m is not None})")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -69,8 +71,10 @@ def test_sieve_tuple_and_gpy_commands_run_without_mpmath():
     ["montgomery", "--x", "1000", "--q-max", "5"],
 ], ids=lambda argv: argv[0])
 def test_progression_commands_load_numpy_alone(argv):
+    # at two threads the scans fork their workers, with no multiprocessing
+    argv = [*argv, "--threads", "2"]
     assert after_commands(argv) == {"numpy"}
-    assert after_commands(argv, blocked=["mpmath"]) == {"numpy"}
+    assert after_commands(argv, blocked=["mpmath", "multiprocessing"]) == {"numpy"}
 
 
 def test_package_exports_exactly_the_documented_names():

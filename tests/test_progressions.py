@@ -1,8 +1,9 @@
 import bisect
 import math
-import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from primegaps.progressions import (
 from primegaps.progressions import _scan, _top_counts, bv_checkpoints, bv_scans
 from primegaps.sieve import primes_upto
 
-from conftest import simpson_log_integral, trial_division_primes
+from conftest import assert_no_child, simpson_log_integral, trial_division_primes
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +410,53 @@ def _raise_in_worker(q, C):
     raise ValueError(os.getpid())
 
 
-def test_scans_leave_no_threads_running(monkeypatch):
+def _sleep_in_worker(q, C):
+    time.sleep(20)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the scans walk every chain in-process")
+def test_scans_leave_no_threads_running(two_recorded_cores):
     before = threading.active_count()
     error_table(10**4, 30)
-    bv_scan(10**4, 50, 8, threads=2)
-    assert multiprocessing.active_children() == []
-    montgomery_ratios(10**4, 2, 50, 0.0, threads=2)
-    assert multiprocessing.active_children() == []
-    # a measure that raises in a worker reaches the caller, and the pool is
-    # still joined
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert_no_child()
+    for threads in (1, 2, 10_000):
+        bv_scan(10**4, 50, 8, threads=threads)
+        assert_no_child()
+        montgomery_ratios(10**4, 2, 50, 0.0, threads=threads)
+        assert_no_child()
+    # two children for each of the two scans at 2 and at 10000 threads
+    assert len(two_recorded_cores) == 8
+    # a measure that raises in a worker reaches the caller as that worker's
+    # own exception, and every child is still reaped
+    two_recorded_cores.clear()
     with pytest.raises(ValueError) as raised:
         _scan(primes_upto(10**4), [1229], 1, 50, _raise_in_worker, threads=2)
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert raised.value.args[0] != os.getpid()
-    assert multiprocessing.active_children() == []
+    assert type(raised.value) is ValueError
+    assert len(raised.value.args) == 1 and raised.value.args[0] in two_recorded_cores
+    assert raised.value.args[0] != os.getpid()
+    assert_no_child()
     assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the scans walk every chain in-process")
+def test_interrupted_scan_kills_its_workers(two_recorded_cores):
+    # the parent is interrupted while both children still measure their one
+    # top each (50 and 49): it kills and reaps them instead of waiting them out
+    def interrupt(signum, frame):
+        raise TimeoutError("interrupted")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(TimeoutError, match="interrupted"):
+            _scan(primes_upto(10**4), [1229], 49, 50, _sleep_in_worker, threads=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10
+    assert len(two_recorded_cores) == 2
+    assert_no_child()
 
 
 # ---------------------------------------------------------------------------
